@@ -8,8 +8,8 @@ event loop against the vectorized FREE-mode batch simulator
 per-set speedup that lets the acceptance engine simulate full buckets.
 
 The per-backend axis runs the batched simulator once per installed
-:mod:`repro.vector.xp` backend (numpy always; torch-CPU and the device
-backends when importable, skip-with-reason otherwise), asserts verdict
+:mod:`repro.vector.xp` backend (numpy always; torch-CPU and torch:cuda
+when importable, skip-with-reason otherwise), asserts verdict
 parity against the numpy run, and records the backend name in the
 benchmark JSON (``extra_info["array_backend"]``) so the uploaded
 ``BENCH_<sha>.json`` artifacts chart backend speedups over time.
@@ -37,10 +37,10 @@ BATCH = 1000  # the ISSUE's reference batch size for the speedup target
 
 
 def _backend_params():
-    """numpy always; the optional backends (incl. the GPU legs) skip
+    """numpy always; the optional backends (incl. the GPU leg) skip
     with the precise unavailability reason when absent."""
     params = [pytest.param("numpy", id="numpy")]
-    for name in ("torch", "torch:cuda", "cupy"):
+    for name in ("torch", "torch:cuda"):
         reason = xp_backends.backend_skip_reason(name)
         marks = () if reason is None else pytest.mark.skip(reason=reason)
         params.append(pytest.param(name, id=name, marks=marks))
@@ -146,9 +146,8 @@ def test_bench_sim_batch_array_backends(benchmark, backend):
     """Batched-simulator throughput per array backend (parity-checked).
 
     The numpy leg doubles as the indirection-overhead guard for the
-    pluggable namespace; the torch/cupy legs start the per-backend perf
-    trajectory (torch-CPU is expected near numpy; the device backends
-    are the scaling headroom).
+    pluggable namespace; the torch legs start the per-backend perf
+    trajectory (torch-CPU is expected near numpy).
     """
     batch = _sim_batch()
     benchmark.group = "sim-batch-array-backend"
@@ -170,13 +169,10 @@ def test_bench_sim_batch_fused_sharded(benchmark):
     """Fused stepping + batch sharding vs the pre-fusion serial path.
 
     The benchmarked configuration is the default fast path — ``fuse=8``
-    (eight event steps per kernel pass), ``nf_select="auto"``, and the
-    batch dimension sharded over ``min(4, cpus)`` worker processes.
-    The baseline is the exact pre-fusion behaviour, reachable through
-    the same entry point: ``fuse=1`` (one event step per pass),
-    ``nf_select="greedy"`` (the per-task loop, which is also what
-    ``auto`` resolves to on host backends — the batched fixpoint pays
-    off where launches cost, i.e. on device backends), serial.
+    (eight event steps per kernel pass) and the batch dimension sharded
+    over ``min(4, cpus)`` worker processes.  The baseline is the exact
+    pre-fusion behaviour, reachable through the same entry point:
+    ``fuse=1`` (one event step per pass), serial.
 
     Fusion is a *launch-count* optimisation: it collapses host↔kernel
     round-trips ~8x (asserted on the pass counters below), which is the
@@ -208,7 +204,7 @@ def test_bench_sim_batch_fused_sharded(benchmark):
     # on a shared runner hits both sides of every ratio equally.
     t_baseline = t_fused_serial = t_sharded = float("inf")
     for _ in range(3):
-        dt, base = once(fuse=1, nf_select="greedy", sim_workers=1)
+        dt, base = once(fuse=1, sim_workers=1)
         t_baseline = min(t_baseline, dt)
         dt, fused_serial = once(fuse=8, sim_workers=1)
         t_fused_serial = min(t_fused_serial, dt)

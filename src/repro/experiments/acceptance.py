@@ -334,12 +334,12 @@ def acceptance_experiment(
 
     ``sim_array_backend`` picks the :mod:`repro.vector.xp` array
     namespace the batched simulator computes on (``"numpy"``,
-    ``"torch"``, ``"cupy"``, ...); ``None`` follows the process
+    ``"torch"``, ``"torch:cuda"``); ``None`` follows the process
     override / ``REPRO_ARRAY_BACKEND`` / numpy precedence.  Host/device
     transfer is confined to batch boundaries, and the seeded sporadic
     sampler stays host-side whatever the backend (its draw order is
     pinned to the scalar reference).  When a *device* backend is active
-    (cupy, torch:cuda) and ``workers > 1``, the engine forces
+    (torch:cuda) and ``workers > 1``, the engine forces
     ``parallel_map`` back to serial chunking with a one-line
     ``RuntimeWarning`` — forked workers must not share a GPU context.
 

@@ -53,11 +53,11 @@ def build_parser() -> argparse.ArgumentParser:
                           "buckets, 'scalar' the per-taskset event loop "
                           "on a subsample")
     run.add_argument("--array-backend",
-                     choices=("numpy", "cupy", "torch", "torch:cuda"),
+                     choices=("numpy", "torch", "torch:cuda"),
                      default=None, dest="array_backend",
                      help="array namespace for the vectorized kernels "
-                          "(repro.vector.xp): numpy is the default; cupy/"
-                          "torch are optional installs resolved lazily. "
+                          "(repro.vector.xp): numpy is the default; torch "
+                          "is an optional install resolved lazily. "
                           "Unset, the REPRO_ARRAY_BACKEND environment "
                           "variable is consulted, then numpy")
     run.add_argument("--sim-mode", choices=("free", "relocatable", "pinned"),

@@ -7,7 +7,7 @@ each state's scalar analyzers serially wastes the batch parallelism the
 per-state deltas, groups the affected states by ``(taskset size,
 capacity)`` and fans each group into **one** vectorized kernel call per
 requested test — backend-neutral via :mod:`repro.vector.xp` (numpy /
-cupy / torch).
+torch).
 
 Contract: the vector kernels compute in float64 (states' task parameters
 are cast on packing), so verdict parity with the scalar analyzers holds

@@ -8,6 +8,7 @@ exact knife-edge that floats cannot certify (see DESIGN.md §4.4).
 
 from __future__ import annotations
 
+import math
 from numbers import Real
 from typing import TYPE_CHECKING
 
@@ -32,6 +33,12 @@ def _require_real(value: object, name: str, task_name: str) -> None:
         raise TaskParameterError(
             f"task {task_name!r}: {name} must be a real number, got {value!r}"
         )
+    # Only floats can be NaN or infinite; ints and Fractions cannot, and
+    # math.isfinite on a huge Fraction would overflow.
+    if isinstance(value, float) and not math.isfinite(value):
+        raise TaskParameterError(
+            f"task {task_name!r}: {name} must be finite, got {value!r}"
+        )
 
 
 def validate_task(task: "Task") -> None:
@@ -39,6 +46,7 @@ def validate_task(task: "Task") -> None:
 
     Requirements (paper §2):
 
+    * every parameter finite (no NaN or infinity);
     * ``wcet`` (C) > 0, ``period`` (T) > 0, ``deadline`` (D) > 0;
     * ``area`` (A) >= 1 — the number of contiguous columns occupied.
       The paper argues areas are integers (§3); we accept any real >= 1

@@ -12,8 +12,6 @@ replay of the same per-device request order**.  The pieces:
   device shape into single vectorized kernel calls.
 - :mod:`repro.service.batcher` — asyncio micro-batching (size- and
   latency-bounded window).
-- :mod:`repro.service.sharding` — rendezvous device→shard routing and
-  the multi-process scale-out story.
 - :mod:`repro.service.app` / :mod:`repro.service.http` — the service
   object and its stdlib HTTP/1.1 front (``repro-service`` CLI).
 - :mod:`repro.service.metrics` — decisions/sec inputs, batch-size
@@ -32,7 +30,6 @@ from repro.service.protocol import (
     parse_request,
     parse_task,
 )
-from repro.service.sharding import ShardRouter, rendezvous_shard
 
 __all__ = [
     "AdmissionService",
@@ -45,8 +42,6 @@ __all__ = [
     "ProtocolError",
     "Request",
     "ServiceMetrics",
-    "ShardRouter",
     "parse_request",
     "parse_task",
-    "rendezvous_shard",
 ]

@@ -24,8 +24,7 @@ only moves *when* a decision happens, never *what* it is.
 The engine runs synchronously on the event loop — decisions are pure
 CPU (numpy kernels release the GIL but there is no I/O to overlap), so
 a worker thread would only add handoff latency.  One process serves one
-batcher pipeline per shard; scaling beyond a core is the sharding
-story's job (:mod:`repro.service.sharding`).
+batcher pipeline.
 """
 
 from __future__ import annotations

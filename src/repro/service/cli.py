@@ -3,7 +3,7 @@
 Example::
 
     repro-service --port 8080 --device fpga0=96 --device fpga1=64 \\
-        --max-batch 256 --max-wait-ms 2 --shards 1
+        --max-batch 256 --max-wait-ms 2
 
 The process serves until interrupted.  ``--no-batching`` runs the
 per-request serial baseline (for comparison), ``--no-certifier``
@@ -62,9 +62,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="batching window latency bound, in milliseconds",
     )
     parser.add_argument(
-        "--shards", type=int, default=1, help="independent pipelines in this process"
-    )
-    parser.add_argument(
         "--array-backend",
         default=None,
         help="array backend for the grouped kernels (default: auto)",
@@ -85,7 +82,6 @@ def build_parser() -> argparse.ArgumentParser:
 async def _serve(args: argparse.Namespace) -> None:
     service = AdmissionService(
         config=BatchConfig(max_batch=args.max_batch, max_wait=args.max_wait_ms / 1000.0),
-        shards=args.shards,
         backend=args.array_backend,
         use_certifier=not args.no_certifier,
         batching=not args.no_batching,

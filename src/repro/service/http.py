@@ -38,6 +38,9 @@ MAX_BODY_BYTES = 1024 * 1024
 
 _DECISION_OPS = {"/v1/admit": "add", "/v1/trial": "trial", "/v1/remove": "remove"}
 
+#: Strict RFC 8259 output: NaN/Infinity raise instead of being written.
+_ENCODER = json.JSONEncoder(allow_nan=False)
+
 
 class _HttpError(Exception):
     def __init__(self, status: int, message: str) -> None:
@@ -153,10 +156,11 @@ class HttpServer:
                 raise _HttpError(400, f"malformed header line: {line!r}")
             headers[key.strip().lower()] = value.strip()
         length_text = headers.get("content-length", "0")
-        try:
-            length = int(length_text)
-        except ValueError:
-            raise _HttpError(400, f"bad content-length: {length_text!r}") from None
+        # Plain ASCII digits only: int() would also take "-5", "+5",
+        # "1_0" and non-ASCII digits.
+        if not (length_text.isascii() and length_text.isdigit()):
+            raise _HttpError(400, f"bad content-length: {length_text!r}")
+        length = int(length_text)
         if length > MAX_BODY_BYTES:
             raise _HttpError(413, "request body too large")
         body = await reader.readexactly(length) if length else b""
@@ -214,7 +218,7 @@ class HttpServer:
     def _json(body: bytes) -> Dict[str, Any]:
         try:
             obj = json.loads(body or b"{}")
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad JSON, or bytes that are not UTF-8
             raise _HttpError(400, f"invalid JSON body: {exc}") from exc
         if not isinstance(obj, dict):
             raise _HttpError(400, "JSON body must be an object")
@@ -230,7 +234,7 @@ class HttpServer:
         *,
         keep_alive: bool = False,
     ) -> None:
-        body = json.dumps(payload).encode()
+        body = _ENCODER.encode(payload).encode()
         head = (
             f"HTTP/1.1 {status} {_STATUS_TEXT.get(status, 'Unknown')}\r\n"
             f"Content-Type: application/json\r\n"

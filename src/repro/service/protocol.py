@@ -106,7 +106,12 @@ def parse_task(obj: Mapping[str, Any]) -> Task:
             raise ProtocolError(f"task {name!r} needs a numeric {field!r}")
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ProtocolError(f"task {name!r}: {field} must be a number")
-        numbers[field] = float(value)
+        try:
+            numbers[field] = float(value)
+        except OverflowError:
+            raise ProtocolError(
+                f"task {name!r}: {field} is too large for a float"
+            ) from None
     try:
         return Task(
             wcet=numbers["wcet"],

@@ -24,9 +24,9 @@ Array backends
 
 No kernel in this package imports numpy directly: every one computes
 through the pluggable namespace of :mod:`repro.vector.xp`, which
-resolves to **numpy** (the eager default, always installed), **cupy**,
-or **torch** — the latter two lazily, behind optional imports that are
-never required at import time (requesting an uninstalled backend raises
+resolves to **numpy** (the eager default, always installed) or
+**torch** — the latter lazily, behind an optional import that is never
+required at import time (requesting it uninstalled raises
 :class:`repro.vector.xp.BackendUnavailable`).  Selection precedence:
 
 1. explicit kwarg (``simulate_batch(..., array_backend="torch")``,
@@ -40,9 +40,9 @@ Parity guarantee: with the numpy backend the kernels perform exactly
 the operations they performed before the backends existed, so verdicts
 stay **bit-identical** to the scalar references; torch-CPU runs the
 same float64 operand order and holds the same contract (exercised in CI
-when torch is installed).  The device backends (``cupy``,
-``torch:cuda``) keep per-element operand order but may re-associate
-parallel reductions, so their contract is verdict-level.  Deliberately
+when torch is installed).  The device backend ``torch:cuda`` keeps
+per-element operand order but may re-associate parallel reductions,
+so its contract is verdict-level.  Deliberately
 host-side regardless of backend: the seeded samplers
 (:func:`sample_offsets_batch`, :func:`sample_release_times_batch` —
 their draw order is pinned to the scalar reference), batch generation

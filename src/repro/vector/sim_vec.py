@@ -397,13 +397,11 @@ def sample_release_times_batch(
 
 
 def _nf_running_greedy(ns, area_s, capacity):
-    """EDF-NF FREE-mode selection, reference implementation.
+    """EDF-NF FREE-mode selection.
 
     The scalar rule verbatim: walk priority positions left to right,
     take a job iff the areas taken so far plus its own fit, skipping
-    (not stopping at) blocked jobs.  One Python iteration — several
-    kernel launches — per task slot; kept as the bit-parity reference
-    the batched fixpoint below is tested (and benchmarked) against.
+    (not stopping at) blocked jobs.
     """
     M, N = area_s.shape
     run_s = ns.empty((M, N), dtype=ns.bool_)
@@ -414,64 +412,6 @@ def _nf_running_greedy(ns, area_s, capacity):
         used += ns.where(take, a_j, 0.0)
         run_s[:, j] = take
     return run_s
-
-
-def _nf_running_batched(ns, area_s, capacity):
-    """EDF-NF FREE-mode selection without the per-task Python loop.
-
-    Fixpoint formulation of the same greedy rule: start from every
-    active job as a candidate, and repeatedly un-admit — per row — the
-    *first* candidate whose left-to-right prefix sum overflows the
-    capacity, until no candidate overflows.  The loop runs at most
-    ``N`` times; rounds past the first touch only the rows that still
-    overflow.
-
-    Bit-exactness: ``cumsum`` accumulates left to right over exactly the
-    operands the greedy reference adds — admitted areas, ``0.0`` for
-    skipped/inactive slots (the reference adds ``where(take, a, 0.0)``
-    too, and ``x + 0.0 == x`` exactly for finite ``x``) — so the prefix
-    sums, and therefore the ``<= capacity`` decisions, match
-    :func:`_nf_running_greedy` bit-for-bit.  Induction on priority
-    position shows the surviving candidate set *is* the greedy take set:
-    ahead of the first pruned position both scans agree, and pruning
-    only ever removes the leftmost overflow, which the greedy scan
-    skips at the same prefix sum.
-
-    Each pruning round blocks exactly one job per overflowing row, so
-    the round count is the *maximum* skip count over the rows — and
-    rows are independent, so converged rows must not pay for the
-    straggler's rounds.  After the first full-width round the fixpoint
-    therefore compresses onto the still-overflowing rows (the same
-    gather/scatter trick as :func:`_select_placement`), shrinking the
-    re-``cumsum`` work every round.
-    """
-    finite = ns.isfinite(area_s)
-    csum = ns.cumsum(ns.where(finite, area_s, 0.0), axis=1)
-    overflow = finite & (csum > capacity)
-    rows = ns.nonzero(ns.any(overflow, axis=1))[0]
-    if not rows.shape[0]:
-        return finite
-    admitted = ns.copy(finite)
-    idx = rows  # absolute row ids still in play
-    sub_adm = admitted[idx]
-    sub_area = area_s[idx]
-    sub_over = overflow[idx]
-    while True:
-        # Every surviving row has >= 1 overflow: un-admit the first.
-        first = ns.argmax(sub_over, axis=1)
-        sub_adm[ns.arange(idx.shape[0]), first] = False
-        csum = ns.cumsum(ns.where(sub_adm, sub_area, 0.0), axis=1)
-        sub_over = sub_adm & (csum > capacity)
-        still = ns.any(sub_over, axis=1)
-        if not ns.any(still):
-            admitted[idx] = sub_adm
-            return admitted
-        settled = ~still
-        admitted[idx[settled]] = sub_adm[settled]
-        idx = idx[still]
-        sub_adm = sub_adm[still]
-        sub_area = sub_area[still]
-        sub_over = sub_over[still]
 
 
 def _select_placement(
@@ -573,7 +513,6 @@ def simulate_batch(
     array_backend: Optional[str] = None,
     fuse: int = 8,
     sim_workers: Optional[int] = None,
-    nf_select: str = "auto",
 ) -> SimBatchResult:
     """Simulate every row of ``batch`` on one device geometry.
 
@@ -644,26 +583,11 @@ def simulate_batch(
       a ``RuntimeWarning`` — forked workers must not share a GPU
       context (the same rule the acceptance engine applies to its
       scalar-backend pool).
-    * ``nf_select`` picks the EDF-NF FREE-mode selection kernel:
-      ``"batched"`` (the :func:`_nf_running_batched` fixpoint — no
-      per-task Python loop) or ``"greedy"`` (the per-task reference
-      scan).  Both are bit-identical on every backend, so the default
-      ``"auto"`` picks by *cost model*: the per-task loop is a
-      launch-count problem, which only exists off-host — device
-      backends resolve to ``"batched"`` (one fixpoint round replaces
-      ``N`` kernel launches), host backends to ``"greedy"`` (at small
-      ``N`` a memory-local column scan beats repeated ``(M, N)``
-      ``cumsum`` passes, measured ~1.4x on the numpy bench workload).
     """
     ns = xp.get_backend(array_backend)
     skip_blocked = _resolve_skip_blocked(scheduler)
     if not isinstance(fuse, int) or fuse < 1:
         raise ValueError(f"fuse must be an integer >= 1, got {fuse!r}")
-    if nf_select not in ("auto", "batched", "greedy"):
-        raise ValueError(
-            f"nf_select must be 'auto', 'batched' or 'greedy', "
-            f"got {nf_select!r}"
-        )
     workers = resolve_sim_workers(sim_workers)
     if release not in ("periodic", "sporadic"):
         raise ValueError(f"unknown release pattern {release!r}")
@@ -850,7 +774,6 @@ def simulate_batch(
                 array_backend=ns.name,
                 fuse=fuse,
                 sim_workers=1,
-                nf_select=nf_select,
             )
             if off is not None:
                 kw["offsets"] = off[lo:hi]
@@ -1022,13 +945,6 @@ def simulate_batch(
                 due, ns.where(nxt < hz[:, None], nxt, INF), next_rel
             )
 
-    if nf_select == "auto":
-        # Bit-identical either way; pick by cost model (see docstring).
-        nf_select = "batched" if ns.is_device else "greedy"
-    nf_running = (
-        _nf_running_batched if nf_select == "batched" else _nf_running_greedy
-    )
-
     release_due()  # the scalar pre-loop release_due(0)
 
     # Fused stepping: the outer loop is one *kernel pass* — up to `fuse`
@@ -1073,7 +989,7 @@ def simulate_batch(
             else:
                 area_s = area_m[rows, order]
                 if skip_blocked:  # EDF-NF: greedy, blocked jobs skipped
-                    run_s = nf_running(ns, area_s, capacity)
+                    run_s = _nf_running_greedy(ns, area_s, capacity)
                 else:  # EDF-FkF: prefix, first blocked job stops the scan.
                     # Areas are positive, so the running sum over the
                     # active prefix is strictly increasing and "cumsum <=

@@ -1,4 +1,4 @@
-"""Pluggable array namespace for the vector kernels (numpy / cupy / torch).
+"""Pluggable array namespace for the vector kernels (numpy / torch).
 
 Every kernel in :mod:`repro.vector` computes through an
 :class:`ArrayBackend` — a numpy-compatible namespace plus the handful of
@@ -12,12 +12,12 @@ that resolves which concrete array library backs that namespace:
   active every kernel performs the exact same operations as before the
   backends existed, so verdicts stay bit-identical to the scalar
   reference implementations.
-* ``cupy`` / ``torch`` / ``torch:cuda`` — resolved lazily behind
-  optional imports.  Neither library is required at import time;
-  requesting an uninstalled backend raises :class:`BackendUnavailable`
-  with an actionable message.  ``torch`` runs on CPU tensors (float64,
+* ``torch`` / ``torch:cuda`` — resolved lazily behind an optional
+  import.  torch is not required at import time; requesting it when it
+  is not installed raises :class:`BackendUnavailable` with an
+  actionable message.  ``torch`` runs on CPU tensors (float64,
   sequential reductions — the bit-exact parity contract holds there
-  too); ``torch:cuda``/``cupy`` are *device* backends
+  too); ``torch:cuda`` is a *device* backend
   (:attr:`ArrayBackend.is_device`), where parallel reductions may
   re-associate float adds, so parity is verdict-level, not guaranteed
   bit-for-bit.
@@ -64,7 +64,7 @@ host = numpy
 BACKEND_ENV = "REPRO_ARRAY_BACKEND"
 
 #: Backend names this module knows how to resolve.
-KNOWN_BACKENDS = ("numpy", "cupy", "torch", "torch:cuda")
+KNOWN_BACKENDS = ("numpy", "torch", "torch:cuda")
 
 
 class BackendUnavailable(ImportError):
@@ -92,9 +92,9 @@ class ArrayBackend:
     backend matches *numpy's* semantics for the kernel call sites.
     """
 
-    #: resolution-name of this backend ("numpy", "cupy", "torch", ...)
+    #: resolution-name of this backend ("numpy", "torch", "torch:cuda")
     name: str = "abstract"
-    #: True when arrays live off-host (cupy, torch:cuda) — the engine
+    #: True when arrays live off-host (torch:cuda) — the engine
     #: must not fork workers sharing the device context, and
     #: bit-identical float reduction order is not guaranteed.
     is_device: bool = False
@@ -206,48 +206,6 @@ class NumpyBackend(ArrayBackend):
 
     def __init__(self) -> None:
         super().__init__(numpy)
-
-
-class CupyBackend(ArrayBackend):
-    """CuPy: numpy-compatible API on CUDA arrays (device-resident)."""
-
-    name = "cupy"
-    is_device = True
-
-    def __init__(self, mod: Any) -> None:
-        super().__init__(mod)
-
-    def asnumpy(self, a: Any) -> "numpy.ndarray":
-        return self._mod.asnumpy(a)
-
-    def synchronize(self) -> None:  # pragma: no cover - needs CUDA
-        self._mod.cuda.get_current_stream().synchronize()
-
-    def lexsort(self, keys: Sequence[Any], axis: int = -1) -> Any:
-        """``numpy.lexsort`` semantics (last key primary, tuple of keys,
-        ``axis`` keyword) — cupy.lexsort only takes a stacked array and
-        no axis, so build the order from stable argsorts instead (cupy's
-        ``kind=None`` argsort is stable)."""
-        if len(keys) == 0:
-            raise ValueError("need at least one key")
-        cp = self._mod
-        order = cp.argsort(keys[0], axis=axis)
-        for key in keys[1:]:
-            reordered = cp.take_along_axis(key, order, axis=axis)
-            refine = cp.argsort(reordered, axis=axis)
-            order = cp.take_along_axis(order, refine, axis=axis)
-        return order
-
-    def maximum_accumulate(self, a: Any, axis: int) -> Any:
-        try:
-            return self._mod.maximum.accumulate(a, axis=axis)
-        except (AttributeError, NotImplementedError):
-            # Generic fallback: a column-at-a-time running maximum.
-            out = a.copy()
-            moved = self._mod.moveaxis(out, axis, -1)
-            for j in range(1, moved.shape[-1]):
-                moved[..., j] = self._mod.maximum(moved[..., j - 1], moved[..., j])
-            return out
 
 
 class TorchBackend(ArrayBackend):
@@ -458,16 +416,6 @@ _OVERRIDE: Optional[str] = None
 def _make_backend(name: str) -> ArrayBackend:
     if name == "numpy":
         return NumpyBackend()
-    if name == "cupy":
-        try:
-            import cupy  # noqa: F401  (optional dependency)
-        except Exception as exc:  # ImportError or CUDA init failure
-            raise BackendUnavailable(
-                f"array backend 'cupy' requested but cupy is not usable "
-                f"({exc!r}); install cupy (pip install cupy-cuda12x) or "
-                f"pick another backend"
-            ) from exc
-        return CupyBackend(cupy)
     if name in ("torch", "torch:cuda"):
         try:
             import torch  # noqa: F401  (optional dependency)
@@ -585,8 +533,6 @@ def namespace_of(arr: Any) -> ArrayBackend:
     if mod == "torch":
         dev = arr.device
         return get_backend("torch" if dev.type == "cpu" else f"torch:{dev.type}")
-    if mod == "cupy":
-        return get_backend("cupy")
     return get_backend("numpy")
 
 

@@ -5,7 +5,7 @@ knife-edge comparisons they exercise are decided mathematically, not by
 float luck.
 
 The ``array_backend`` fixture parametrizes a test over every installed
-:mod:`repro.vector.xp` backend (numpy always; torch/cupy skipped with a
+:mod:`repro.vector.xp` backend (numpy always; torch skipped with a
 reason when absent), installing the backend as the process-wide
 selection for the test's duration — so kernels resolving the ambient
 backend run once per installed array library.
@@ -21,12 +21,12 @@ from repro.vector import xp as xp_backends
 
 
 def _array_backend_params():
-    params = [pytest.param("numpy", id="numpy")]
-    for name in ("torch", "cupy"):
-        reason = xp_backends.backend_skip_reason(name)
-        marks = () if reason is None else pytest.mark.skip(reason=reason)
-        params.append(pytest.param(name, id=name, marks=marks))
-    return params
+    reason = xp_backends.backend_skip_reason("torch")
+    marks = () if reason is None else pytest.mark.skip(reason=reason)
+    return [
+        pytest.param("numpy", id="numpy"),
+        pytest.param("torch", id="torch", marks=marks),
+    ]
 
 
 @pytest.fixture(params=_array_backend_params())

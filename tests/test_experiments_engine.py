@@ -274,7 +274,7 @@ class TestArrayBackendThreading:
         from repro.vector import xp as xp_mod
 
         missing = [
-            n for n in ("cupy", "torch")
+            n for n in ("torch", "torch:cuda")
             if not xp_mod.backend_available(n)
         ]
         if not missing:

@@ -1,5 +1,6 @@
 """Unit tests for the Task/TaskSet model."""
 
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -100,6 +101,21 @@ class TestTaskValidation:
     def test_rejects_bool(self):
         with pytest.raises(TaskParameterError):
             Task(wcet=True, period=1)  # type: ignore[arg-type]
+
+    @pytest.mark.parametrize("field", ["wcet", "period", "deadline", "area"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_floats(self, field, value):
+        kwargs = dict(wcet=1.0, period=10.0, deadline=10.0, area=2.0)
+        kwargs[field] = value
+        with pytest.raises(TaskParameterError, match="finite"):
+            Task(**kwargs)
+
+    def test_huge_exact_parameters_are_finite(self):
+        # ints and Fractions cannot be NaN or infinite; a Fraction too
+        # large for a float must not trip an overflow in the check.
+        huge = F(10**400, 3)
+        t = Task(wcet=1, period=huge, area=10**400)
+        assert t.period == huge and t.deadline == huge
 
     def test_wcet_above_deadline_allowed_but_flagged(self):
         # Not a parameter error: the schedulability tests must reject it.

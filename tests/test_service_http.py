@@ -178,15 +178,15 @@ def test_concurrent_requests_coalesce_into_batches():
     with_service(scenario, config=BatchConfig(max_batch=64, max_wait=0.005))
 
 
-def test_sharded_service_routes_consistently():
+def test_service_lists_devices_and_routes_decisions():
     async def scenario(service, host, port, call):
         for i in range(6):
             await call("POST", "/v1/devices", {"name": f"dev{i}", "width": 64})
         status, listing = await call("GET", "/v1/devices")
-        shards = {d["name"]: d["shard"] for d in listing["devices"]}
-        assert len(listing["devices"]) == 6
-        assert set(shards.values()) <= {0, 1, 2}
-        # every decision reaches the owning shard's state
+        assert status == 200
+        assert [d["name"] for d in listing["devices"]] == [f"dev{i}" for i in range(6)]
+        assert all("shard" not in d for d in listing["devices"])
+        # every decision reaches its own device's state
         for i in range(6):
             status, dec = await call(
                 "POST", "/v1/admit",
@@ -195,8 +195,126 @@ def test_sharded_service_routes_consistently():
             assert status == 200 and dec["ok"]
         for i in range(6):
             status, info = await call("GET", f"/v1/devices/dev{i}")
-            assert info["resident"] == 1 and info["shard"] == shards[f"dev{i}"]
+            assert info["resident"] == 1 and "shard" not in info
         status, snap = await call("GET", "/v1/metrics")
-        assert snap["shards"] == 3 and snap["devices"] == 6
+        assert snap["devices"] == 6 and "shards" not in snap
 
-    with_service(scenario, shards=3)
+    with_service(scenario)
+
+
+def catch_loop_errors():
+    """Record every context the running loop's exception handler sees
+    (e.g. "Unhandled exception in client_connected_cb")."""
+    fired = []
+    asyncio.get_running_loop().set_exception_handler(
+        lambda loop, context: fired.append(context)
+    )
+    return fired
+
+
+async def raw_exchange(host, port, data):
+    """Send raw bytes; returns ``(status, parsed_json)`` or ``(None,
+    None)`` when the server closes without answering.  JSON is parsed
+    strictly: a ``NaN``/``Infinity`` literal fails the test."""
+    reader, writer = await asyncio.open_connection(host, port)
+    try:
+        writer.write(data)
+        await writer.drain()
+        line = await reader.readline()
+        if not line:
+            return None, None
+        headers = {}
+        while True:
+            header = await reader.readline()
+            if header in (b"\r\n", b""):
+                break
+            key, _, value = header.decode().partition(":")
+            headers[key.lower().strip()] = value.strip()
+        body = await reader.readexactly(int(headers.get("content-length", 0)))
+        return int(line.split()[1]), json.loads(body, parse_constant=_reject_constant)
+    finally:
+        writer.close()
+
+
+def _reject_constant(name):
+    raise AssertionError(f"non-RFC JSON constant {name} in a response")
+
+
+def _post(path, body, length=None):
+    length = len(body) if length is None else length
+    return (
+        f"POST {path} HTTP/1.1\r\nHost: t\r\nContent-Length: {length}\r\n\r\n"
+    ).encode() + body
+
+
+def test_bad_content_length_is_400():
+    async def scenario(service, host, port, call):
+        fired = catch_loop_errors()
+        for length, body in [
+            ("-5", b""),
+            ("+5", b"hello"),
+            ("1_0", b"0123456789"),
+            ("0x5", b"hello"),
+            ("", b""),
+        ]:
+            data = (
+                f"GET /healthz HTTP/1.1\r\nHost: t\r\n"
+                f"Content-Length: {length}\r\n\r\n"
+            ).encode() + body
+            status, payload = await raw_exchange(host, port, data)
+            assert status == 400, length
+            assert "content-length" in payload["error"]
+        await asyncio.sleep(0.05)  # let any failed handler task report
+        assert fired == []
+
+    with_service(scenario)
+
+
+def test_body_that_is_not_utf8_is_400():
+    async def scenario(service, host, port, call):
+        fired = catch_loop_errors()
+        await call("POST", "/v1/devices", {"name": "d", "width": 64})
+        status, payload = await raw_exchange(
+            host, port, _post("/v1/admit", b'{"device": "\xff\xfe\xfd"}')
+        )
+        assert status == 400 and "invalid JSON body" in payload["error"]
+        await asyncio.sleep(0.05)
+        assert fired == []
+
+    with_service(scenario)
+
+
+def test_non_finite_task_parameters_are_400():
+    async def scenario(service, host, port, call):
+        fired = catch_loop_errors()
+        await call("POST", "/v1/devices", {"name": "d", "width": 64})
+        await call("POST", "/v1/admit", {"device": "d", "task": TASK})
+        _, before = await raw_exchange(
+            host, port, b"GET /v1/devices/d HTTP/1.1\r\nHost: t\r\n\r\n"
+        )
+        huge = "1" + "0" * 400  # a JSON int too large for a float
+        for op in ("/v1/admit", "/v1/trial"):
+            for field, literal in [
+                ("wcet", "NaN"),
+                ("period", "Infinity"),
+                ("period", "1e400"),
+                ("deadline", "-Infinity"),
+                ("area", "NaN"),
+                ("period", huge),
+            ]:
+                body = (
+                    '{"device": "d", "task": {"name": "x", "wcet": 1.0, '
+                    '"period": 10.0, "%s": %s}}' % (field, literal)
+                ).encode()
+                status, payload = await raw_exchange(host, port, _post(op, body))
+                assert status == 400, (op, field, literal)
+                assert "ok" not in payload  # an error, not a verdict
+        status, after = await raw_exchange(
+            host, port, b"GET /v1/devices/d HTTP/1.1\r\nHost: t\r\n\r\n"
+        )
+        assert status == 200 and after == before
+        assert [t["name"] for t in after["tasks"]] == ["a"]
+        await asyncio.sleep(0.05)
+        assert fired == []
+
+    with_service(scenario)

@@ -29,7 +29,6 @@ from repro.service import (
     Request,
     parse_request,
     parse_task,
-    rendezvous_shard,
 )
 from repro.service.protocol import VIA_CERTIFIER, VIA_KERNEL, VIA_STATE
 
@@ -372,7 +371,7 @@ def test_batch_config_validation():
 # -- service front door --------------------------------------------------------
 
 
-def test_service_sharded_parity_with_serial_mode():
+def test_service_pipeline_parity_with_serial_mode():
     rng = random.Random(31)
     stream = gen_stream(rng, 200)
 
@@ -388,8 +387,8 @@ def test_service_sharded_parity_with_serial_mode():
 
         return asyncio.run(run())
 
-    batched = AdmissionService(config=BatchConfig(max_batch=64, max_wait=0.002), shards=3)
-    serial = AdmissionService(batching=False, shards=1)
+    batched = AdmissionService(config=BatchConfig(max_batch=64, max_wait=0.002))
+    serial = AdmissionService(batching=False)
     got = drive(batched)
     reference = drive(serial)
     # Per-device subsequences must agree decision-for-decision (cross-device
@@ -399,20 +398,6 @@ def test_service_sharded_parity_with_serial_mode():
         right = [decision_key(d) for d in reference if d.device == device]
         assert left == right, device
     snap = batched.snapshot()
-    assert snap["shards"] == 3 and snap["devices"] == 3 and snap["batching"]
+    assert snap["devices"] == 3 and snap["batching"]
+    assert "shards" not in snap
     assert snap["decisions_total"] == len(stream)
-
-
-def test_rendezvous_sharding_is_consistent_and_minimal():
-    names = [f"dev{i}" for i in range(200)]
-    assert [rendezvous_shard(n, 4) for n in names] == [
-        rendezvous_shard(n, 4) for n in names
-    ]
-    assert {rendezvous_shard(n, 4) for n in names} == {0, 1, 2, 3}
-    # growing 4 -> 5 shards remaps roughly 1/5 of the devices
-    moved = sum(
-        1 for n in names if rendezvous_shard(n, 4) != rendezvous_shard(n, 5)
-    )
-    assert 0 < moved < len(names) // 2
-    with pytest.raises(ValueError):
-        rendezvous_shard("d", 0)

@@ -766,17 +766,6 @@ class TestFusionKnifeEdges:
         _assert_results_equal(base, huge)
         assert huge.kernel_passes == 1
 
-    def test_nf_select_parity(self):
-        batch = _batch(paper_unconstrained(10), seed=23)
-        for fuse in (1, 8):
-            greedy = simulate_batch(
-                batch, CAPACITY, "EDF-NF", fuse=fuse, nf_select="greedy"
-            )
-            batched = simulate_batch(
-                batch, CAPACITY, "EDF-NF", fuse=fuse, nf_select="batched"
-            )
-            _assert_results_equal(greedy, batched, counters=True)
-
     def test_max_events_exhaustion_mid_chunk(self):
         """The budget counts events, not passes: a budget that runs out
         in the middle of a fused chunk must match the unfused verdicts."""
@@ -804,8 +793,6 @@ class TestFusionKnifeEdges:
             simulate_batch(batch, CAPACITY, fuse=0)
         with pytest.raises(ValueError):
             simulate_batch(batch, CAPACITY, fuse=1.5)
-        with pytest.raises(ValueError):
-            simulate_batch(batch, CAPACITY, nf_select="bogus")
 
 
 class TestShardingKnifeEdges:

@@ -50,12 +50,14 @@ class TestResolution:
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError, match="known"):
             xp_mod.get_backend("tensorflow")
+        with pytest.raises(ValueError, match="known: numpy, torch, torch:cuda"):
+            xp_mod.get_backend("cupy")
         with pytest.raises(ValueError):
             xp_mod.set_backend("tensorflow")
 
     def test_unavailable_backend_raises_backend_unavailable(self):
         missing = [
-            n for n in ("torch", "cupy") if not xp_mod.backend_available(n)
+            n for n in ("torch", "torch:cuda") if not xp_mod.backend_available(n)
         ]
         if not missing:
             pytest.skip("all optional backends installed here")
@@ -68,7 +70,7 @@ class TestResolution:
 
     def test_backend_skip_reason(self):
         assert xp_mod.backend_skip_reason("numpy") is None
-        for name in ("torch", "cupy", "torch:cuda"):
+        for name in ("torch", "torch:cuda"):
             reason = xp_mod.backend_skip_reason(name)
             assert reason is None or name.split(":")[0] in reason
         with pytest.raises(ValueError):
@@ -105,7 +107,7 @@ class TestResolution:
 
 class TestShimParity:
     """Every divergence shim vs its numpy reference, per installed
-    backend.  ``array_backend`` supplies numpy always and torch/cupy
+    backend.  ``array_backend`` supplies numpy always and torch
     when installed (skip-with-reason otherwise)."""
 
     @pytest.fixture
