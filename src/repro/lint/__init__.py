@@ -9,13 +9,16 @@ property of the source.  This package turns those prose contracts
 :mod:`repro.core` and :mod:`repro.vector`) into machine-checked rules
 over the Python AST, gated in CI.
 
-The per-module rules (RL001–RL007) read one file at a time; the
-transitive rules (RL010–RL013) consume a whole-program pass that builds
-the project call graph (:mod:`repro.lint.callgraph`), seeds per-function
-effect sets over {RNG, WALL_CLOCK, HOST_SYNC, DEVICE_TRANSFER,
-STATE_MUTATION}, and propagates them to a deterministic fixpoint
-(:mod:`repro.lint.effects`) — so a draw or a stall buried behind any
-chain of helpers is still caught, with the witness chain in the message.
+The import and dtype rules (RL001, RL002, RL004, RL007) read one file
+at a time.  The effect rules (RL010–RL012) consume a whole-program pass
+that builds the project call graph (:mod:`repro.lint.callgraph`), seeds
+per-function effect sets over {RNG, WALL_CLOCK, HOST_SYNC,
+DEVICE_TRANSFER, STATE_MUTATION}, and propagates them to a
+deterministic fixpoint (:mod:`repro.lint.effects`).  Each reports its
+effect at the call that performs it (a witness chain of length 0) and
+at any call that reaches it, so a draw or a stall buried behind any
+chain of helpers is still caught, with the chain in the message.
+RL013 checks await atomicity in the service coroutines.
 
 Usage::
 
@@ -30,16 +33,13 @@ section for the contract each one enforces):
 ====== =====================================================================
 RL001  no direct numpy import inside ``repro.vector`` (only ``xp.py``)
 RL002  no module-top-level ``torch``/``cupy`` import (lazy-only)
-RL003  no RNG construction/draws outside the sampler/generation modules
 RL004  no ``float32`` outside pragma-annotated pin sites in ``repro.vector``
-RL005  no implicit host-device sync inside kernel pass loops
-RL006  no wall-clock calls under ``src/repro`` (benchmarks live outside)
 RL007  import layering between the ``repro.*`` packages
-RL008  unused ``# repro-lint: disable=`` suppression (meta-rule)
+RL008  unused or unknown-rule ``# repro-lint: disable=`` pragma (meta-rule)
 RL009  parse error (meta-rule; an unreadable file cannot be checked)
-RL010  no call chain from kernel code reaches an RNG draw (closes RL003)
-RL011  no call chain from a fused pass loop reaches host sync (closes RL005)
-RL012  no call chain under ``repro.*`` reaches a wall clock (closes RL006)
+RL010  no RNG outside the sampler modules; no chain from kernels to a draw
+RL011  no host-device sync, direct or chained, inside kernel pass loops
+RL012  no wall-clock read, direct or chained, under ``repro.*``
 RL013  no await-straddling state mutation in ``repro.service`` coroutines
 ====== =====================================================================
 

@@ -37,7 +37,8 @@ from typing import (
     Tuple,
 )
 
-_SCOPE_NODES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+_FUNCTION_NODES = (ast.FunctionDef, ast.AsyncFunctionDef)
+_SCOPE_NODES = _FUNCTION_NODES + (ast.ClassDef,)
 
 
 @dataclass
@@ -72,10 +73,13 @@ class ModuleDecls:
     classes: Dict[str, ClassDecl] = field(default_factory=dict)
 
 
-def _resolve_relative(modname: str, is_package: bool, level: int,
-                      module: Optional[str]) -> str:
-    """Absolute base module of a relative import, per the engine's rule:
-    level 1 inside a package ``__init__`` is the package itself."""
+def import_base(modname: str, is_package: bool, level: int,
+                module: Optional[str]) -> str:
+    """Absolute base module of an import, per the engine's rule for
+    relative ones: level 1 inside a package ``__init__`` is the package
+    itself."""
+    if level == 0:
+        return module or ""
     parts = modname.split(".")
     drop = level - 1 if is_package else level
     if drop >= len(parts):
@@ -98,12 +102,9 @@ def collect_aliases(tree: ast.Module, modname: str,
                     a.name if a.asname else a.name.split(".")[0]
                 )
         elif isinstance(node, ast.ImportFrom):
-            if node.level == 0:
-                base = node.module or ""
-            else:
-                base = _resolve_relative(
-                    modname, is_package, node.level, node.module
-                )
+            base = import_base(
+                modname, is_package, node.level, node.module
+            )
             if not base:
                 continue
             for a in node.names:
@@ -299,12 +300,17 @@ def local_constructor_types(fn: ast.AST, modname: str,
 def iter_own_nodes(fn: ast.AST) -> Iterator[ast.AST]:
     """Every AST node in ``fn``'s body that executes *as* ``fn`` — the
     walk does not descend into nested function/class definitions (their
-    bodies are separate declarations with their own effects)."""
+    bodies are separate declarations with their own effects).  For an
+    ``ast.Module`` that is the import-time code: module level plus
+    class bodies, which run at import too."""
+    stops: Tuple[type, ...] = (
+        _FUNCTION_NODES if isinstance(fn, ast.Module) else _SCOPE_NODES
+    )
     stack: List[ast.AST] = list(ast.iter_child_nodes(fn))
     while stack:
         node = stack.pop()
         yield node
-        if isinstance(node, _SCOPE_NODES):
+        if isinstance(node, stops):
             continue
         stack.extend(ast.iter_child_nodes(node))
 
@@ -333,7 +339,13 @@ def call_edges(decls: ModuleDecls, functions: Container[str],
 
 class ModuleResolver:
     """Pass-2 helper: resolved call sites of one module against a
-    project summary, addressable by AST node identity."""
+    project summary, addressable by AST node identity.
+
+    Import-time code (module level and class bodies) resolves too, as
+    the pseudo-caller ``<modname>.<module>``.  Pass 1 never sees it:
+    nothing can call it, so it has no place in the effect fixpoint or
+    the ``--effects`` report.
+    """
 
     def __init__(self, tree: ast.Module, modname: str, is_package: bool,
                  functions: Container[str],
@@ -341,8 +353,8 @@ class ModuleResolver:
                  ) -> None:
         self.decls = collect_module(tree, modname, is_package)
         self._by_node: Dict[int, Tuple[str, str]] = {}
-        self._sites: List[Tuple[ast.Call, str, str]] = []
-        for fn in self.decls.functions:
+        module_level = FunctionDecl(f"{modname}.<module>", modname, tree)
+        for fn in [module_level] + self.decls.functions:
             local_types = local_constructor_types(
                 fn.node, modname, self.decls.aliases, classes
             )
@@ -355,17 +367,7 @@ class ModuleResolver:
                 )
                 if target is not None:
                     self._by_node[id(node)] = (fn.qualname, target)
-                    self._sites.append((node, fn.qualname, target))
 
-    def callee_of(self, call: ast.Call) -> Optional[str]:
-        entry = self._by_node.get(id(call))
-        return entry[1] if entry is not None else None
-
-    def caller_of(self, call: ast.Call) -> Optional[str]:
-        entry = self._by_node.get(id(call))
-        return entry[0] if entry is not None else None
-
-    def call_sites(self) -> List[Tuple[ast.Call, str, str]]:
-        """``(call node, caller qualname, callee qualname)`` triples in
-        source order of the callers' declarations."""
-        return list(self._sites)
+    def site(self, call: ast.Call) -> Optional[Tuple[str, str]]:
+        """``(caller qualname, callee qualname)`` of a resolved call."""
+        return self._by_node.get(id(call))

@@ -29,7 +29,10 @@ def _rule_catalogue() -> str:
         lines.append(f"{rule_id}  {cls.name}")
         lines.append(f"       {cls.summary}")
     lines.append("RL008  unused-suppression")
-    lines.append("       a disable pragma that no finding matches (meta-rule)")
+    lines.append(
+        "       a disable pragma that no finding matches or that names "
+        "no known rule (meta-rule)"
+    )
     lines.append("RL009  parse-error")
     lines.append("       a file the parser rejects cannot be checked")
     return "\n".join(lines)

@@ -12,11 +12,10 @@ from __future__ import annotations
 from typing import Dict, Iterable, Optional, Tuple
 
 #: The project's own namespace.  Rules that police *our* determinism
-#: contracts (RL003/RL006 and their transitive closures RL010/RL012)
-#: apply only to modules under this prefix — files outside any package
-#: (``benchmarks/``, ``examples/``, ``scripts/`` get bare-stem module
-#: names) are the sanctioned home for timing and ad-hoc RNG, exactly as
-#: the RL006 docstring prescribes.
+#: contracts (RL010 and RL012) apply only to modules under this prefix —
+#: files outside any package (``benchmarks/``, ``examples/``,
+#: ``scripts/`` get bare-stem module names) are the sanctioned home for
+#: timing and ad-hoc RNG, exactly as the RL012 docstring prescribes.
 SRC_NAMESPACE: Tuple[str, ...] = ("repro",)
 
 #: Modules (prefixes) that form the backend-pluggable kernel surface:
@@ -41,7 +40,7 @@ NUMPY_ALLOWED_MODULES: Tuple[str, ...] = (
 LAZY_ONLY_LIBRARIES: Tuple[str, ...] = ("torch", "cupy")
 
 #: Modules (prefixes) allowed to construct RNGs or draw from global RNG
-#: state (RL003): the seeded-sampler/generation layer.  Everything else
+#: state (RL010): the seeded-sampler/generation layer.  Everything else
 #: — vector kernels above all — must be deterministic in its inputs.
 RNG_ALLOWED_MODULES: Tuple[str, ...] = (
     "repro.util.rngutil",     # the canonical seed -> Generator helpers
@@ -54,14 +53,14 @@ RNG_ALLOWED_MODULES: Tuple[str, ...] = (
 )
 
 #: Method names that read as RNG draws when called inside the strict
-#: kernel modules (RL003's second tier — catches a generator object
+#: kernel modules (RL010's strict tier — catches a generator object
 #: smuggled into a kernel even without a construction site).
 RNG_DRAW_METHODS: Tuple[str, ...] = (
     "random", "uniform", "normal", "standard_normal", "integers",
     "choice", "shuffle", "permutation", "exponential", "poisson",
 )
 
-#: Constructors that mint RNG state (RL003 and the effect seeder).
+#: Constructors that mint RNG state (``effects.classify_call``).
 #: Matching is by trailing attribute so any numpy alias is caught
 #: (``np.random.default_rng``, ``numpy.random.default_rng``, a bare
 #: ``default_rng`` from-import).
@@ -72,15 +71,14 @@ RNG_CONSTRUCTORS: Tuple[str, ...] = ("default_rng", "RandomState", "SeedSequence
 #: strict kernel module (draw order pinned to the scalar reference,
 #: ROADMAP "Array backends").  The effect seeder does not mark them
 #: ``RNG``, so RL010 does not flag their kernel-side callers; their
-#: in-body draws carry per-line RL003 pragmas already.
+#: in-body draws are still direct RL010 hits and carry per-line pragmas.
 RNG_SANCTIONED_FUNCTIONS: Tuple[str, ...] = (
     "repro.vector.sim_vec.sample_offsets_batch",
     "repro.vector.sim_vec.sample_release_times_batch",
 )
 
-#: Kernel modules held to the strict determinism tier of RL003 and the
-#: host-sync ban of RL005: the fused pass loops of the batched
-#: simulator and the placement kernels.
+#: Kernel modules held to the strict determinism tier of RL010: the
+#: fused pass loops of the batched simulator and the placement kernels.
 KERNEL_STRICT_MODULES: Tuple[str, ...] = (
     "repro.vector.sim_vec",
     "repro.vector.placement_vec",
@@ -89,7 +87,7 @@ KERNEL_STRICT_MODULES: Tuple[str, ...] = (
     "repro.vector.gn2_vec",
 )
 
-#: Modules where RL005 applies (host-device sync calls inside loops):
+#: Modules where RL011 applies (host-device sync calls inside loops):
 #: the two kernel modules with pass loops.  ``.get()`` is only flagged
 #: zero-arg (cupy's device->host transfer); ``d.get(key)`` stays legal.
 SYNC_SCOPED_MODULES: Tuple[str, ...] = (
@@ -97,7 +95,7 @@ SYNC_SCOPED_MODULES: Tuple[str, ...] = (
     "repro.vector.placement_vec",
 )
 
-#: Attribute paths whose *call* means "block on the device" (RL005).
+#: Attribute paths whose *call* means "block on the device" (RL011).
 HOST_SYNC_METHODS: Tuple[str, ...] = ("item", "cpu", "tolist", "get")
 
 #: Method/function tails whose call moves data across the host-device
@@ -107,7 +105,7 @@ DEVICE_TRANSFER_CALLS: Tuple[str, ...] = (
     "asnumpy", "from_numpy", "synchronize", "to_device",
 )
 
-#: ``module -> attribute`` pairs that read wall clocks (RL006).  The
+#: ``module -> attribute`` pairs that read wall clocks (RL012).  The
 #: repro tree must stay deterministic and profiler-friendly; timing
 #: belongs in ``benchmarks/`` (outside ``src``) or behind
 #: ``xp.synchronize()``-bracketed pytest-benchmark runs.
@@ -123,7 +121,7 @@ WALL_CLOCK_CALLS: Tuple[Tuple[str, str], ...] = (
     ("timeit", "default_timer"),
 )
 
-#: Modules (prefixes) exempt from RL006.  Exactly one: the admission
+#: Modules (prefixes) exempt from RL012.  Exactly one: the admission
 #: service's clock shim.  The micro-batching window (a *latency* bound)
 #: and request-latency percentiles are inherently wall-clock concerns —
 #: a long-running server cannot be clock-free the way the analysis tree

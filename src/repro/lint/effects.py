@@ -12,8 +12,8 @@ Effects form a small powerset lattice over five atoms:
     reads a wall clock (``config.WALL_CLOCK_CALLS``) — skipped inside
     ``config.WALL_CLOCK_ALLOWED_MODULES`` (the service clock shim).
 ``HOST_SYNC``
-    forces a host-device round-trip (``config.HOST_SYNC_METHODS``,
-    zero-arg ``.get()`` rule as in RL005).
+    forces a host-device round-trip (``config.HOST_SYNC_METHODS``;
+    ``.get()`` only when called without arguments).
 ``DEVICE_TRANSFER``
     moves data across the host-device boundary
     (``config.DEVICE_TRANSFER_CALLS``) — informative only.
@@ -21,6 +21,10 @@ Effects form a small powerset lattice over five atoms:
     mutates shared state: ``global``/``nonlocal``, stores through
     ``self``/``cls`` attributes, or a ``config.ASYNC_MUTATOR_METHODS``
     call on ``self``-rooted state.
+
+What a call does by itself is decided in one place,
+:func:`classify_call`; RL010-RL012 report its hits directly and through
+the fixpoint.
 
 Seeds are purely syntactic per function; :func:`fixpoint` unions each
 function's seeds with its resolved callees' effect sets until nothing
@@ -38,7 +42,7 @@ from __future__ import annotations
 import ast
 import json
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
 
 from repro.lint import callgraph, config
 from repro.lint.callgraph import FunctionDecl, ModuleDecls
@@ -76,7 +80,8 @@ class ProjectSummary:
         return self.functions.get(qualname, _EMPTY)
 
 
-def _dotted(node: ast.AST) -> Optional[str]:
+def dotted_name(node: ast.AST) -> Optional[str]:
+    """``a.b.c`` for a Name/Attribute chain, else None."""
     parts: List[str] = []
     while isinstance(node, ast.Attribute):
         parts.append(node.attr)
@@ -87,8 +92,10 @@ def _dotted(node: ast.AST) -> Optional[str]:
     return None
 
 
-def _call_target(func: ast.AST, aliases: Dict[str, str]) -> Optional[str]:
-    dotted = _dotted(func)
+def _call_target(func: ast.AST, aliases: Mapping[str, str]) -> Optional[str]:
+    """Dotted call target with the leading alias expanded: ``pc()`` ->
+    ``time.perf_counter`` under ``from time import perf_counter as pc``."""
+    dotted = dotted_name(func)
     if dotted is None:
         return None
     head, _, rest = dotted.partition(".")
@@ -109,7 +116,69 @@ def _store_root(target: ast.AST) -> Optional[ast.AST]:
     return None
 
 
-def seed_effects(fn: FunctionDecl, aliases: Dict[str, str]) -> FrozenSet[str]:
+_WALL_CLOCKS: FrozenSet[str] = frozenset(
+    f"{mod}.{attr}" for mod, attr in config.WALL_CLOCK_CALLS
+)
+
+
+@dataclass(frozen=True)
+class CallEffect:
+    """One effect a call performs itself: a witness chain of length 0."""
+
+    effect: str
+    #: the call as a finding names it, e.g. ``RNG construction (default_rng)``
+    what: str
+    #: RNG only: a draw-shaped method call on some generator object, as
+    #: opposed to minting RNG state or drawing from global state
+    draw_method: bool = False
+
+
+def classify_call(
+    call: ast.Call, aliases: Mapping[str, str]
+) -> List[CallEffect]:
+    """The effects ``call`` performs by itself, before any scoping.
+
+    The one place that decides what an RNG draw, a wall-clock read or a
+    host sync looks like: :func:`seed_effects` seeds the fixpoint with
+    it, and RL010-RL012 report its hits as direct findings.
+    """
+    target = _call_target(call.func, aliases)
+    tail = target.split(".")[-1] if target else None
+    attr = call.func.attr if isinstance(call.func, ast.Attribute) else None
+    out: List[CallEffect] = []
+    if tail in config.RNG_CONSTRUCTORS:
+        out.append(CallEffect("RNG", f"RNG construction ({tail})"))
+    elif target is not None and target.startswith(
+        ("numpy.random.", "random.")
+    ):
+        out.append(CallEffect("RNG", f"global-RNG-state draw ({target})"))
+    elif tail in config.RNG_DRAW_METHODS:
+        out.append(
+            CallEffect("RNG", f"draw-shaped call (.{tail}(...))", True)
+        )
+    if target in _WALL_CLOCKS:
+        out.append(CallEffect("WALL_CLOCK", f"wall-clock read ({target})"))
+    # Zero-arg .get() is cupy's device->host copy; d.get(key) is a lookup.
+    if attr in config.HOST_SYNC_METHODS and not (
+        attr == "get" and (call.args or call.keywords)
+    ):
+        out.append(CallEffect("HOST_SYNC", f".{attr}()"))
+    if attr in config.DEVICE_TRANSFER_CALLS or (
+        tail in config.DEVICE_TRANSFER_CALLS
+    ):
+        out.append(CallEffect("DEVICE_TRANSFER", f"{tail or attr}()"))
+    if (
+        attr in config.ASYNC_MUTATOR_METHODS
+        and isinstance(call.func, ast.Attribute)
+        and _self_rooted(call.func.value)
+    ):
+        out.append(CallEffect("STATE_MUTATION", f".{attr}()"))
+    return out
+
+
+def seed_effects(
+    fn: FunctionDecl, aliases: Mapping[str, str]
+) -> FrozenSet[str]:
     """The syntactic effect seeds of one function body."""
     modname = fn.modname
     rng_exempt = (
@@ -119,7 +188,6 @@ def seed_effects(fn: FunctionDecl, aliases: Dict[str, str]) -> FrozenSet[str]:
     clock_exempt = config.module_matches(
         modname, config.WALL_CLOCK_ALLOWED_MODULES
     )
-    banned_clocks = {f"{mod}.{attr}" for mod, attr in config.WALL_CLOCK_CALLS}
     seeds = set()
     for node in callgraph.iter_own_nodes(fn.node):
         if isinstance(node, (ast.Global, ast.Nonlocal)):
@@ -143,38 +211,12 @@ def seed_effects(fn: FunctionDecl, aliases: Dict[str, str]) -> FrozenSet[str]:
                 if chain is not None and _self_rooted(chain):
                     seeds.add("STATE_MUTATION")
         elif isinstance(node, ast.Call):
-            target = _call_target(node.func, aliases)
-            tail = target.split(".")[-1] if target else None
-            attr = (
-                node.func.attr
-                if isinstance(node.func, ast.Attribute)
-                else None
-            )
-            if not rng_exempt:
-                if tail in config.RNG_CONSTRUCTORS:
-                    seeds.add("RNG")
-                elif target is not None and target.startswith(
-                    ("numpy.random.", "random.")
-                ):
-                    seeds.add("RNG")
-                elif tail in config.RNG_DRAW_METHODS and attr is not None:
-                    seeds.add("RNG")
-            if not clock_exempt and target in banned_clocks:
-                seeds.add("WALL_CLOCK")
-            if attr in config.HOST_SYNC_METHODS:
-                is_get = attr == "get"
-                if not (is_get and (node.args or node.keywords)):
-                    seeds.add("HOST_SYNC")
-            if attr in config.DEVICE_TRANSFER_CALLS or (
-                tail in config.DEVICE_TRANSFER_CALLS
-            ):
-                seeds.add("DEVICE_TRANSFER")
-            if (
-                attr in config.ASYNC_MUTATOR_METHODS
-                and isinstance(node.func, ast.Attribute)
-                and _self_rooted(node.func.value)
-            ):
-                seeds.add("STATE_MUTATION")
+            for hit in classify_call(node, aliases):
+                if hit.effect == "RNG" and rng_exempt:
+                    continue
+                if hit.effect == "WALL_CLOCK" and clock_exempt:
+                    continue
+                seeds.add(hit.effect)
     return frozenset(seeds)
 
 

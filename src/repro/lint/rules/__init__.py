@@ -6,32 +6,21 @@ A rule is a class with an ``id`` (``RLxxx``), a short ``name``, a
 objects.  Rules register themselves with :func:`register`; the engine
 instantiates each registered rule once per linted module.
 
-Shared AST helpers live here so rule modules stay small: dotted-name
-extraction, import-alias resolution, and the module-scope walker that
+Shared import helpers live here: the module-scope walker that
 distinguishes import-time code from function bodies (the lazy-import
-escape hatch RL002/RL007 honour).
+escape hatch RL002/RL007 honour) and import-target resolution.  Call
+classification lives in :mod:`repro.lint.effects`.
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import (
-    TYPE_CHECKING,
-    Dict,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-    Type,
-)
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Type
 
+from repro.lint.callgraph import ModuleResolver, import_base
+from repro.lint.effects import ProjectSummary, dotted_name
 from repro.lint.findings import Finding
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.lint.callgraph import ModuleResolver
-    from repro.lint.effects import ProjectSummary
 
 
 @dataclass
@@ -49,10 +38,10 @@ class ModuleContext:
     #: tables) the transitive rules resolve this module against; the
     #: engine always supplies one (a single-module summary when linting
     #: an isolated source blob).
-    project: Optional["ProjectSummary"] = None
+    project: Optional[ProjectSummary] = None
     #: per-module resolved-call-site cache shared by the transitive
     #: rules (built lazily by the first one that needs it).
-    resolver: Optional["ModuleResolver"] = field(
+    resolver: Optional[ModuleResolver] = field(
         default=None, repr=False, compare=False
     )
 
@@ -98,60 +87,8 @@ def all_rule_ids() -> List[str]:
 # -- shared AST helpers -----------------------------------------------------
 
 
-def dotted_name(node: ast.AST) -> Optional[str]:
-    """``a.b.c`` for a Name/Attribute chain, else None."""
-    parts: List[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
-
-
-def import_aliases(tree: ast.Module) -> Dict[str, str]:
-    """Map local names to the dotted things they import.
-
-    ``import numpy as np`` -> ``{"np": "numpy"}``;
-    ``from time import perf_counter as pc`` -> ``{"pc": "time.perf_counter"}``.
-    Only absolute imports are recorded (relative ones never alias the
-    stdlib/third-party modules the determinism rules resolve).
-    """
-    out: Dict[str, str] = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for a in node.names:
-                out[a.asname or a.name.split(".")[0]] = (
-                    a.name if a.asname else a.name.split(".")[0]
-                )
-        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
-            for a in node.names:
-                if a.name == "*":
-                    continue
-                out[a.asname or a.name] = f"{node.module}.{a.name}"
-    return out
-
-
-def resolve_call_target(func: ast.AST, aliases: Dict[str, str]) -> Optional[str]:
-    """Dotted call target with the leading alias expanded.
-
-    ``pc()`` -> ``time.perf_counter`` under
-    ``from time import perf_counter as pc``; ``t.monotonic()`` ->
-    ``time.monotonic`` under ``import time as t``.
-    """
-    dotted = dotted_name(func)
-    if dotted is None:
-        return None
-    head, _, rest = dotted.partition(".")
-    expanded = aliases.get(head, head)
-    return f"{expanded}.{rest}" if rest else expanded
-
-
 def _is_type_checking_guard(node: ast.If) -> bool:
-    test = node.test
-    name = dotted_name(test)
-    return name in ("TYPE_CHECKING", "typing.TYPE_CHECKING")
+    return dotted_name(node.test) in ("TYPE_CHECKING", "typing.TYPE_CHECKING")
 
 
 def module_scope_imports(
@@ -200,18 +137,9 @@ def imported_module_targets(
     if isinstance(node, ast.Import):
         targets.extend(a.name for a in node.names)
     elif isinstance(node, ast.ImportFrom):
-        if node.level == 0:
-            base = node.module or ""
-        else:
-            parts = ctx.modname.split(".")
-            # level 1 inside a package __init__ is the package itself;
-            # inside a plain module it is the containing package.
-            drop = node.level - 1 if ctx.is_package else node.level
-            if drop >= len(parts):
-                parts = []
-            elif drop:
-                parts = parts[:-drop]
-            base = ".".join(parts + ([node.module] if node.module else []))
+        base = import_base(
+            ctx.modname, ctx.is_package, node.level, node.module
+        )
         if base:
             targets.append(base)
             for a in node.names:
@@ -222,9 +150,7 @@ def imported_module_targets(
 
 # Populate the registry (import order fixes --list-rules grouping).
 from repro.lint.rules import imports as _imports  # noqa: E402,F401
-from repro.lint.rules import determinism as _determinism  # noqa: E402,F401
 from repro.lint.rules import dtype as _dtype  # noqa: E402,F401
-from repro.lint.rules import device as _device  # noqa: E402,F401
 from repro.lint.rules import transitive as _transitive  # noqa: E402,F401
 from repro.lint.rules import asyncatomic as _asyncatomic  # noqa: E402,F401
 
@@ -233,10 +159,7 @@ __all__ = [
     "RULES",
     "Rule",
     "all_rule_ids",
-    "dotted_name",
-    "import_aliases",
     "imported_module_targets",
     "module_scope_imports",
     "register",
-    "resolve_call_target",
 ]

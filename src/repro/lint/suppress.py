@@ -10,12 +10,13 @@ AST):
 * file-level — ``# repro-lint: disable-file=RL001 -- why`` anywhere in
   the file suppresses the rule for the whole file.
 
-Several IDs may share one pragma (``disable=RL004,RL005``).  The
+Several IDs may share one pragma (``disable=RL001,RL004``).  The
 ``-- reason`` is optional but conventional; reviews should expect one.
 
 Every ``(pragma, rule-id)`` entry must suppress at least one finding or
 it is itself reported as RL008 (unused suppression) at the pragma's
-line — exemptions cannot outlive the code they excuse.
+line — exemptions cannot outlive the code they excuse, and a pragma
+naming a rule that does not exist (a typo, a retired ID) is RL008 too.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Set
 
 from repro.lint.findings import Finding
+from repro.lint.rules import all_rule_ids
 
 PRAGMA_RE = re.compile(
     r"#\s*repro-lint:\s*(?P<kind>disable|disable-file)\s*=\s*"
@@ -108,7 +110,8 @@ def apply_suppressions(
     Returns the reportable findings (sorted).  ``findings`` must all
     belong to ``path``.  A pragma whose rule was not *run* this
     invocation (not in ``checked_rules``, e.g. deselected via
-    ``--select``) cannot be proven unused and is never flagged; pass
+    ``--select``) cannot be proven unused and is never flagged; a
+    pragma naming no known rule at all is flagged whatever ran.  Pass
     ``report_unused=False`` to disable RL008 entirely (RL008 itself
     deselected).
     """
@@ -125,21 +128,30 @@ def apply_suppressions(
             kept.append(f)
     if not report_unused:
         return sorted(kept)
+    known = set(all_rule_ids())
     for s in suppressions:
-        if checked_rules is not None and s.rule not in checked_rules:
-            continue
-        if not s.used:
-            scope = "file-level " if s.file_level else ""
-            kept.append(
-                Finding(
-                    path=path,
-                    line=s.pragma_line,
-                    col=0,
-                    rule=UNUSED_SUPPRESSION_ID,
-                    message=(
-                        f"unused {scope}suppression of {s.rule}: no {s.rule} "
-                        f"finding matches this pragma; remove it"
-                    ),
-                )
+        scope = "file-level " if s.file_level else ""
+        if s.rule not in known:
+            message = (
+                f"{scope}suppression of unknown rule {s.rule}: no such "
+                f"rule exists (retired or misspelt); remove or correct it"
             )
+        elif s.used or (
+            checked_rules is not None and s.rule not in checked_rules
+        ):
+            continue
+        else:
+            message = (
+                f"unused {scope}suppression of {s.rule}: no {s.rule} "
+                f"finding matches this pragma; remove it"
+            )
+        kept.append(
+            Finding(
+                path=path,
+                line=s.pragma_line,
+                col=0,
+                rule=UNUSED_SUPPRESSION_ID,
+                message=message,
+            )
+        )
     return sorted(kept)

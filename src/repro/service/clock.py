@@ -1,12 +1,12 @@
 """The service layer's one sanctioned wall-clock touchpoint.
 
 Everything under ``src/repro`` is input-deterministic by contract —
-RL006 bans wall-clock reads so analysis results can never depend on
+RL012 bans wall-clock reads so analysis results can never depend on
 when they ran.  A *serving* layer, though, is defined by time: the
 micro-batcher's coalescing window is latency-bounded and every request
 carries an arrival timestamp for the latency percentiles the load
 harness reports.  Those reads are confined to this module, which is the
-single RL006-allowlisted entry in
+single RL012-allowlisted entry in
 :data:`repro.lint.config.WALL_CLOCK_ALLOWED_MODULES`; the rest of
 :mod:`repro.service` calls :func:`now` and stays lint-clean.  Decisions
 themselves never depend on clock values — time only shapes *when* a

@@ -294,7 +294,7 @@ def sample_offsets_batch(batch: TaskSetBatch, rng) -> "hnp.ndarray":
     Deliberately host-side: the numpy generator pins the draw order to
     the scalar reference whichever array backend simulates the result.
     """
-    # repro-lint: disable=RL003 -- documented host-side seeded sampler; draw order pinned to the scalar reference (ROADMAP "Array backends")
+    # repro-lint: disable=RL010 -- documented host-side seeded sampler; draw order pinned to the scalar reference (ROADMAP "Array backends")
     return rng.uniform(0.0, xp.asnumpy(batch.period))
 
 
@@ -361,7 +361,7 @@ def sample_release_times_batch(
                 k = int((horizon_b - last) / (period * gap_max) * _MARGIN)
                 if k < 4:
                     break
-                # repro-lint: disable=RL003 -- host-side seeded sampler block draw, stream-identical to the scalar single draws
+                # repro-lint: disable=RL010 -- host-side seeded sampler block draw, stream-identical to the scalar single draws
                 gaps = period * (1.0 + rng.uniform(0.0, max_jitter_factor, size=k))
                 # cumsum accumulates strictly left-to-right, so seeding
                 # it with ``last`` reproduces the scalar's sequential
@@ -376,7 +376,7 @@ def sample_release_times_batch(
                 last = float(block[-1])
                 count += k
             while True:  # data-dependent tail: single draws, scalar-style
-                # repro-lint: disable=RL003 -- host-side seeded sampler tail draw, consumes the stream exactly like the scalar reference
+                # repro-lint: disable=RL010 -- host-side seeded sampler tail draw, consumes the stream exactly like the scalar reference
                 gap = period * (1.0 + float(rng.uniform(0.0, max_jitter_factor)))
                 nxt = last + gap
                 if nxt >= horizon_b:

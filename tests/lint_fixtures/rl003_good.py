@@ -1,4 +1,4 @@
-"""RL003 good (linted as an allowlisted generation module): the
+"""RL010 good (linted as an allowlisted generation module): the
 sampler layer constructs seeded generators freely."""
 
 import numpy as np

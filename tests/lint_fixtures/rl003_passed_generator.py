@@ -1,4 +1,4 @@
-"""RL003 good (linted as a non-strict, non-allowlisted module): drawing
+"""RL010 good (linted as a non-strict, non-allowlisted module): drawing
 from an explicitly *passed* generator is the sanctioned pattern — only
 construction and global-state draws are flagged outside strict kernels."""
 

@@ -1,15 +1,15 @@
-"""RL005 bad (linted as repro.vector.sim_vec): per-iteration host-device
+"""RL011 bad (linted as repro.vector.sim_vec): per-iteration host-device
 syncs inside pass loops."""
 
 
 def fused_pass(live, deadlines):
     total = 0.0
     while live.any():
-        total += live.sum().item()  # line 8: RL005 (.item in while)
+        total += live.sum().item()  # line 8: RL011 (.item in while)
         live = advance(live)
     for row in deadlines:
-        misses = row.tolist()  # line 11: RL005 (.tolist in for)
-        buf = row.get()  # line 12: RL005 (zero-arg .get in for)
+        misses = row.tolist()  # line 11: RL011 (.tolist in for)
+        buf = row.get()  # line 12: RL011 (zero-arg .get in for)
     return total, misses, buf
 
 

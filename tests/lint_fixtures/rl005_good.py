@@ -1,4 +1,4 @@
-"""RL005 good (linted as repro.vector.sim_vec): sync at the batch
+"""RL011 good (linted as repro.vector.sim_vec): sync at the batch
 boundary only; keyed dict .get inside loops stays legal."""
 
 from repro.vector import xp

@@ -1,4 +1,4 @@
-"""RL006 bad: wall-clock reads in the analysis tree (module-call,
+"""RL012 bad: wall-clock reads in the analysis tree (module-call,
 aliased-module, and from-import forms)."""
 
 import time
@@ -7,7 +7,7 @@ from time import perf_counter as pc
 
 
 def profile(fn):
-    start = time.time()  # line 10: RL006
-    mid = t.monotonic()  # line 11: RL006
+    start = time.time()  # line 10: RL012
+    mid = t.monotonic()  # line 11: RL012
     fn()
-    return pc() - start + mid  # line 13: RL006
+    return pc() - start + mid  # line 13: RL012

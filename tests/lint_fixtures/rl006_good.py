@@ -1,4 +1,4 @@
-"""RL006 good: time.sleep / strftime are not clock *reads*, and naming
+"""RL012 good: time.sleep / strftime are not clock *reads*, and naming
 a local function perf_counter shadows nothing."""
 
 import time

@@ -1,4 +1,4 @@
-"""RL006 good (linted as repro.service.clock): the admission service's
+"""RL012 good (linted as repro.service.clock): the admission service's
 single allowlisted wall-clock touchpoint — batching-window deadlines and
 latency metrics may read the clock here, and only here."""
 

@@ -1,9 +1,9 @@
 """Seeded RL010 violation: the draw is two helpers deep.
 
-RL003 sees nothing here — ``repro.vector.newkern`` is not a strict
-kernel module, so a method-style draw on a passed-in generator is
-invisible to the per-module rule.  The whole-program effect fixpoint
-still reaches it through the helper chain.
+``repro.vector.newkern`` is not a strict kernel module, so the
+method-style draw on a passed-in generator is no direct hit.  The
+whole-program effect fixpoint still reaches it through the helper
+chain, from a function body and from import-time code alike.
 """
 
 
@@ -18,3 +18,6 @@ def _indirect(rng, n):
 def kernel_mix(xs, rng):
     noise = _indirect(rng, len(xs))
     return xs + noise
+
+
+SEEDED = _indirect(None, 1)  # line 23: module level

@@ -1,8 +1,8 @@
 """Seeded RL011 violation: the host sync hides one helper away.
 
-RL005 bans ``.tolist()`` written directly inside a sim_vec pass loop;
+A direct ``.tolist()`` inside a sim_vec pass loop is a length-0 chain;
 here the loop body only calls ``_collect`` and the stall lives in the
-helper — invisible per-module, caught by the HOST_SYNC effect closure.
+helper — found through the HOST_SYNC effect fixpoint instead.
 """
 
 

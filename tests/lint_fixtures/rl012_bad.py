@@ -1,6 +1,6 @@
 """Seeded RL012 violation: a locally-excused clock still leaks.
 
-The RL006 pragma excuses the direct read; RL012 flags the *caller*,
+The pragma excuses the direct read; RL012 still flags the *caller*,
 because wall-clock influence must never be inherited silently outside
 repro.service.clock.
 """
@@ -9,7 +9,7 @@ import time
 
 
 def _stamp():
-    return time.perf_counter()  # repro-lint: disable=RL006 -- seeded fixture: the point is the caller below
+    return time.perf_counter()  # repro-lint: disable=RL012 -- seeded fixture: the point is the caller below
 
 
 def elapsed(start):

@@ -3,7 +3,7 @@
 
 from repro.vector import xp  # repro-lint: disable=RL001 -- line 4: unused (xp is not numpy)
 
-# repro-lint: disable-file=RL005 -- line 6: unused (no sync calls here)
+# repro-lint: disable-file=RL011 -- line 6: unused (no sync calls here)
 
 
 def kernel(batch, ns):
