@@ -7,7 +7,7 @@
 * :mod:`repro.experiments.ablations` — the DESIGN.md ablation studies
   (integer vs real α, EDF-NF vs EDF-FkF, placement modes, offset search);
 * :mod:`repro.experiments.acceptance` — the shared acceptance-ratio
-  engine (vectorized tests, simulation subsampling, parallel workers);
+  engine (vectorized tests and batched simulation);
 * :mod:`repro.experiments.churn` — online admission under an
   arrival/departure stream, scored through :mod:`repro.incremental`;
 * :mod:`repro.experiments.report` — text/CSV/markdown rendering;

@@ -3,13 +3,11 @@
 For each total-system-utilization bucket, generate many tasksets from a
 profile, rescaled so ``US(Γ)`` hits the bucket exactly, then record the
 fraction accepted by each schedulability test and by simulation.  Tests
-run vectorized over the whole batch; simulation runs either on the whole
-batch as well (``sim_backend="vector"`` — the default, via
-:func:`repro.vector.sim_vec.simulate_batch`, in any
-:class:`~repro.sim.simulator.MigrationMode`) or one taskset at a time on
-a subsample, optionally across worker processes
-(``sim_backend="scalar"``).  Both backends produce bit-identical
-verdicts per configuration; tasksets whose event loop blows the
+run vectorized over the whole batch, and so does simulation, through
+:func:`repro.vector.sim_vec.simulate_batch` in any
+:class:`~repro.sim.simulator.MigrationMode` (its verdicts are pinned
+bit-identical to the scalar :func:`repro.sim.simulator.simulate` by the
+equivalence suites).  Tasksets whose event loop blows the
 ``max_events`` budget are recorded as not-schedulable-within-budget and
 counted in :attr:`AcceptanceCurves.sim_budget_exceeded` instead of
 aborting the sweep.
@@ -25,7 +23,6 @@ get cheap, knife-edge buckets get the full budget.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -34,10 +31,7 @@ import numpy as np
 from repro.fpga.device import Fpga
 from repro.fpga.placement import PlacementPolicy
 from repro.gen.profiles import GenerationProfile
-from repro.sched.edf_fkf import EdfFkf
-from repro.sched.edf_nf import EdfNf
 from repro.sim.simulator import MigrationMode
-from repro.util.parallel import parallel_map
 from repro.util.rngutil import rng_from_seed, spawn_rngs
 from repro.vector import xp
 from repro.vector.batch import TaskSetBatch, generate_batch
@@ -45,6 +39,7 @@ from repro.vector.dp_vec import dp_accepts
 from repro.vector.gn1_vec import gn1_accepts
 from repro.vector.gn2_vec import gn2_accepts
 from repro.vector.sim_vec import (
+    SKIP_BLOCKED,
     default_horizon_batch,
     sample_release_times_batch,
     simulate_batch,
@@ -65,8 +60,6 @@ TEST_FUNCS = {
         dp_accepts(batch, cap) | gn1_accepts(batch, cap) | gn2_accepts(batch, cap)
     ),
 }
-
-_SCHEDULERS = {"EDF-NF": EdfNf, "EDF-FkF": EdfFkf}
 
 
 @dataclass(frozen=True)
@@ -239,30 +232,6 @@ def binned_batch_at(
     )
 
 
-def _simulate_one(args) -> Tuple[bool, bool]:
-    """Worker: one taskset, one scheduler (picklable for process pools).
-
-    Returns ``(schedulable, budget_exceeded)``.  A ``SimulationError``
-    (event budget blown) is caught here so one pathological taskset
-    cannot abort a whole sweep — the set counts as not schedulable
-    within budget.
-    """
-    taskset, fpga, scheduler_name, mode, policy, horizon_factor, max_events = args
-    from repro.sim.simulator import SimulationError, default_horizon, simulate
-
-    scheduler = _SCHEDULERS[scheduler_name]()
-    horizon = default_horizon(taskset, factor=horizon_factor)
-    try:
-        result = simulate(
-            taskset, fpga, scheduler, horizon,
-            mode=mode, placement_policy=policy,
-            max_events=max_events,
-        )
-    except SimulationError:
-        return False, True
-    return result.schedulable, False
-
-
 def _ci_required_samples(counts: Dict[str, List[int]], ci_target: float) -> int:
     """Samples needed so every series' 95% CI half-width <= ``ci_target``.
 
@@ -289,7 +258,6 @@ def acceptance_experiment(
     tests: Sequence[str] = ("DP", "GN1", "GN2"),
     sim_schedulers: Sequence[str] = ("EDF-NF",),
     sim_samples_per_point: Optional[int] = None,
-    sim_backend: str = "vector",
     sim_array_backend: Optional[str] = None,
     sim_mode: MigrationMode = MigrationMode.FREE,
     sim_policy: PlacementPolicy = PlacementPolicy.FIRST_FIT,
@@ -297,7 +265,6 @@ def acceptance_experiment(
     sim_jitter: float = 0.5,
     horizon_factor: int = 20,
     max_events: int = 1_000_000,
-    workers: int = 1,
     sim_workers: Optional[int] = None,
     name: Optional[str] = None,
     sampling: str = "rescale",
@@ -307,30 +274,21 @@ def acceptance_experiment(
     """Run the full §6 experiment for one workload profile.
 
     ``tests`` picks analytical curves from :data:`TEST_FUNCS`;
-    ``sim_schedulers`` adds simulation curves (labelled ``sim:<name>``),
-    simulated under ``sim_mode``/``sim_policy`` (the paper's FREE
-    migration by default; RELOCATABLE/PINNED quantify the §7 placement
-    cost, honouring ``fpga``'s static regions on both backends).
+    ``sim_schedulers`` adds simulation curves (labelled ``sim:<name>``,
+    one of the names :func:`~repro.vector.sim_vec.simulate_batch`
+    accepts), simulated under ``sim_mode``/``sim_policy`` (the paper's
+    FREE migration by default; RELOCATABLE/PINNED quantify the §7
+    placement cost, honouring ``fpga``'s static regions).  The batched
+    simulator runs the first ``sim_samples_per_point`` tasksets of each
+    bucket; ``None`` (the default) simulates the whole bucket, so the sim
+    curve sees every taskset the analytical curves see.
 
     ``sim_release`` selects the release pattern of the sim curves:
     ``"periodic"`` (the paper's synchronous pattern) or ``"sporadic"``
     (one jittered schedule per taskset, gaps
     ``T_i * (1 + U(0, sim_jitter))``, sampled from a per-bucket stream
-    derived from ``seed``).  Sporadic release patterns are generated and
-    replayed through the batched simulator, so they require
-    ``sim_backend="vector"``; every scheduler in a bucket sees the same
+    derived from ``seed``).  Every scheduler in a bucket sees the same
     sampled schedules (paired comparisons).
-
-    ``sim_backend`` selects how those curves are computed:
-
-    - ``"vector"`` (default): the batched simulator
-      (:func:`repro.vector.sim_vec.simulate_batch`) runs the *whole*
-      bucket — ``sim_samples_per_point`` defaults to
-      ``samples_per_point``, so the sim curve sees every taskset the
-      analytical curves see;
-    - ``"scalar"``: the per-taskset event simulator, subsampled to
-      ``sim_samples_per_point`` (default: min(samples, 200)) tasksets
-      per bucket; ``workers > 1`` parallelizes it over processes.
 
     ``sim_array_backend`` picks the :mod:`repro.vector.xp` array
     namespace the batched simulator computes on (``"numpy"``,
@@ -338,22 +296,15 @@ def acceptance_experiment(
     override / ``REPRO_ARRAY_BACKEND`` / numpy precedence.  Host/device
     transfer is confined to batch boundaries, and the seeded sporadic
     sampler stays host-side whatever the backend (its draw order is
-    pinned to the scalar reference).  When a *device* backend is active
-    (torch:cuda) and ``workers > 1``, the engine forces
-    ``parallel_map`` back to serial chunking with a one-line
-    ``RuntimeWarning`` — forked workers must not share a GPU context.
-
-    Both backends yield bit-identical verdicts per taskset.  Simulations
-    exceeding ``max_events`` are recorded as not schedulable and counted
-    in :attr:`AcceptanceCurves.sim_budget_exceeded` rather than aborting
+    pinned to the scalar reference).  Simulations exceeding
+    ``max_events`` are recorded as not schedulable and counted in
+    :attr:`AcceptanceCurves.sim_budget_exceeded` rather than aborting
     the sweep.
 
-    ``sim_workers`` shards each vector-sim bucket's batch dimension over
-    a process pool inside :func:`simulate_batch` (verdicts bit-identical
-    to serial; ``None`` defers to the ``REPRO_SIM_WORKERS`` environment
-    variable, then 1).  It is independent of ``workers``, which
-    parallelizes over *tasksets* on the scalar backend; the device-serial
-    rule applies to both.
+    ``sim_workers`` shards each bucket's batch dimension over a process
+    pool inside :func:`simulate_batch` (verdicts bit-identical to serial;
+    ``None`` defers to the ``REPRO_SIM_WORKERS`` environment variable,
+    then 1; device backends force serial with a ``RuntimeWarning``).
 
     ``sampling`` selects how buckets are filled: ``"rescale"`` draws from
     the profile and rescales WCETs to the exact target (fast, exact
@@ -371,25 +322,14 @@ def acceptance_experiment(
     confidence-interval half-width falls below ``ci_target``, capped at
     ``samples_per_point``.  The per-bucket draw counts are recorded in
     :attr:`AcceptanceCurves.bucket_samples`.  Adaptive sizing needs every
-    series to cover the full bucket, so it requires the vector sim
-    backend (or no sim curves) and rejects an explicit sim subsample.
+    series to cover the full bucket, so it rejects an explicit sim
+    subsample.
     """
     if sampling not in ("rescale", "bin"):
         raise ValueError(f"unknown sampling mode {sampling!r}")
-    if sim_backend not in ("vector", "scalar"):
-        raise ValueError(f"unknown sim_backend {sim_backend!r}")
     # Resolve eagerly: a bad/uninstalled backend fails here, not after
     # the first bucket's taskset generation.
-    array_backend = xp.get_backend(sim_array_backend)
-    if array_backend.is_device and workers > 1:
-        warnings.warn(
-            f"array backend {array_backend.name!r} is device-resident; "
-            f"forcing parallel_map to serial chunking (workers {workers} "
-            f"-> 1): forked workers must not share a GPU context",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        workers = 1
+    xp.get_backend(sim_array_backend)
     if not isinstance(sim_mode, MigrationMode):
         raise ValueError(f"sim_mode must be a MigrationMode, got {sim_mode!r}")
     if not isinstance(sim_policy, PlacementPolicy):
@@ -398,15 +338,10 @@ def acceptance_experiment(
         raise ValueError(f"unknown sim_release {sim_release!r}")
     if sim_jitter < 0:
         raise ValueError("sim_jitter must be >= 0")
-    if sim_release == "sporadic" and sim_schedulers and sim_backend != "vector":
-        raise ValueError(
-            "sim_release='sporadic' requires sim_backend='vector' (the "
-            "scalar backend has no batched schedule replay)"
-        )
     unknown = set(tests) - set(TEST_FUNCS)
     if unknown:
         raise ValueError(f"unknown tests: {sorted(unknown)}")
-    unknown = set(sim_schedulers) - set(_SCHEDULERS)
+    unknown = set(sim_schedulers) - set(SKIP_BLOCKED)
     if unknown:
         raise ValueError(f"unknown schedulers: {sorted(unknown)}")
     if samples_per_point < 1:
@@ -416,23 +351,13 @@ def acceptance_experiment(
     if ci_target is not None:
         if not (0 < ci_target < 0.5):
             raise ValueError("ci_target must be in (0, 0.5)")
-        if sim_schedulers:
-            if sim_backend != "vector":
-                raise ValueError(
-                    "ci_target sizing requires sim_backend='vector' "
-                    "(every series must cover the full bucket)"
-                )
-            if sim_samples_per_point is not None and sim_samples_per_point > 0:
-                raise ValueError(
-                    "ci_target sizing simulates full buckets; drop "
-                    "sim_samples_per_point (or set it to 0 to disable sim)"
-                )
+        if sim_schedulers and (sim_samples_per_point or 0) > 0:
+            raise ValueError(
+                "ci_target sizing simulates full buckets; drop "
+                "sim_samples_per_point (or set it to 0 to disable sim)"
+            )
     if sim_samples_per_point is None:
-        sim_n = (
-            samples_per_point
-            if sim_backend == "vector"
-            else min(samples_per_point, 200)
-        )
+        sim_n = samples_per_point
     else:
         sim_n = min(sim_samples_per_point, samples_per_point)
     capacity = fpga.capacity
@@ -484,49 +409,36 @@ def acceptance_experiment(
             if not sim_schedulers or sim_n <= 0:
                 return
             k = batch.count if ci_target is not None else min(sim_n, batch.count)
-            if sim_backend == "vector":
-                sub = TaskSetBatch(
-                    batch.wcet[:k], batch.period[:k],
-                    batch.deadline[:k], batch.area[:k],
+            sub = TaskSetBatch(
+                batch.wcet[:k], batch.period[:k],
+                batch.deadline[:k], batch.area[:k],
+            )
+            if release_rng is not None:
+                # Sample once per batch so every scheduler's curve sees
+                # the same sporadic patterns (paired).
+                release_kwargs = dict(
+                    release="sporadic",
+                    release_times=sample_release_times_batch(
+                        sub,
+                        default_horizon_batch(sub, factor=horizon_factor),
+                        release_rng,
+                        sim_jitter,
+                    ),
                 )
-                if release_rng is not None:
-                    # Sample once per batch so every scheduler's curve
-                    # sees the same sporadic patterns (paired).
-                    release_kwargs = dict(
-                        release="sporadic",
-                        release_times=sample_release_times_batch(
-                            sub,
-                            default_horizon_batch(sub, factor=horizon_factor),
-                            release_rng,
-                            sim_jitter,
-                        ),
-                    )
-                else:
-                    release_kwargs = {}
-                for sched in sim_schedulers:
-                    res = simulate_batch(
-                        sub, fpga, sched,
-                        mode=sim_mode, placement_policy=sim_policy,
-                        horizon_factor=horizon_factor, max_events=max_events,
-                        array_backend=sim_array_backend,
-                        sim_workers=sim_workers,
-                        **release_kwargs,
-                    )
-                    counts[f"sim:{sched}"][0] += int(res.schedulable.sum())
-                    counts[f"sim:{sched}"][1] += k
-                    budget_exceeded += int(res.budget_exceeded.sum())
             else:
-                tasksets = [batch.taskset(i) for i in range(k)]
-                for sched in sim_schedulers:
-                    args = [
-                        (ts, fpga, sched, sim_mode, sim_policy,
-                         horizon_factor, max_events)
-                        for ts in tasksets
-                    ]
-                    outcomes = parallel_map(_simulate_one, args, workers=workers)
-                    counts[f"sim:{sched}"][0] += sum(ok for ok, _ in outcomes)
-                    counts[f"sim:{sched}"][1] += len(outcomes)
-                    budget_exceeded += sum(ex for _, ex in outcomes)
+                release_kwargs = {}
+            for sched in sim_schedulers:
+                res = simulate_batch(
+                    sub, fpga, sched,
+                    mode=sim_mode, placement_policy=sim_policy,
+                    horizon_factor=horizon_factor, max_events=max_events,
+                    array_backend=sim_array_backend,
+                    sim_workers=sim_workers,
+                    **release_kwargs,
+                )
+                counts[f"sim:{sched}"][0] += int(res.schedulable.sum())
+                counts[f"sim:{sched}"][1] += k
+                budget_exceeded += int(res.budget_exceeded.sum())
 
         if ci_target is None:
             first_n = samples_per_point

@@ -94,7 +94,6 @@ def run_figure(
     seed: int = 2007,
     sim_samples: Optional[int] = 100,
     sim_schedulers: Sequence[str] = ("EDF-NF",),
-    sim_backend: str = "vector",
     sim_array_backend: Optional[str] = None,
     sim_mode: MigrationMode = MigrationMode.FREE,
     sim_policy: PlacementPolicy = PlacementPolicy.FIRST_FIT,
@@ -109,9 +108,8 @@ def run_figure(
 
     Paper-fidelity runs want ``samples >= 10_000`` (the paper's group
     size); the default is sized for interactive use.  ``sim_samples=None``
-    simulates the full bucket on the (default) vector backend and a
-    200-set subsample on the scalar one; 0 disables the simulation curve
-    (and keeps the label out as well).
+    simulates the full bucket; 0 disables the simulation curve (and
+    keeps the label out as well).
 
     ``sim_mode``/``sim_policy`` re-simulate the figure's sim curve under
     the §7 placement-aware migration models, and ``sim_release``/
@@ -129,7 +127,17 @@ def run_figure(
     adaptive: each bucket draws only as many tasksets as its series need
     for a 95% CI half-width of ``ci_target``, with ``samples`` as the
     cap (see :func:`~repro.experiments.acceptance.acceptance_experiment`).
+
+    ``workers`` must be 1 (any other value raises :class:`ValueError`):
+    simulation parallelism is ``sim_workers``.  The parameter is kept
+    only because the repository benchmark (``perfbench/sweeps.py``)
+    passes ``workers=1``.
     """
+    if workers != 1:
+        raise ValueError(
+            f"workers must be 1, got {workers!r}; use sim_workers to "
+            f"shard the batched simulator"
+        )
     spec = FIGURES[figure_id]
     sim_enabled = sim_samples is None or sim_samples > 0
     if ci_target is not None and sim_enabled:
@@ -143,13 +151,11 @@ def run_figure(
         tests=("DP", "GN1", "GN2"),
         sim_schedulers=sim_schedulers if sim_enabled else (),
         sim_samples_per_point=sim_samples,
-        sim_backend=sim_backend,
         sim_array_backend=sim_array_backend,
         sim_mode=sim_mode,
         sim_policy=sim_policy,
         sim_release=sim_release,
         sim_jitter=sim_jitter,
-        workers=workers,
         sim_workers=sim_workers,
         horizon_factor=horizon_factor,
         name=spec.title,

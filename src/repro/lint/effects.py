@@ -143,8 +143,10 @@ def classify_call(
     it, and RL010-RL012 report its hits as direct findings.
     """
     target = _call_target(call.func, aliases)
-    tail = target.split(".")[-1] if target else None
     attr = call.func.attr if isinstance(call.func, ast.Attribute) else None
+    # The method name, whatever the receiver: ``rngs[0].uniform()`` and
+    # ``f().uniform()`` have no dotted target but are draws all the same.
+    tail = target.split(".")[-1] if target else attr
     out: List[CallEffect] = []
     if tail in config.RNG_CONSTRUCTORS:
         out.append(CallEffect("RNG", f"RNG construction ({tail})"))

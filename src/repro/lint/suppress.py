@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Set
 
 from repro.lint.findings import Finding
-from repro.lint.rules import all_rule_ids
+from repro.lint.rules import RULES, all_rule_ids
 
 PRAGMA_RE = re.compile(
     r"#\s*repro-lint:\s*(?P<kind>disable|disable-file)\s*=\s*"
@@ -111,7 +111,10 @@ def apply_suppressions(
     belong to ``path``.  A pragma whose rule was not *run* this
     invocation (not in ``checked_rules``, e.g. deselected via
     ``--select``) cannot be proven unused and is never flagged; a
-    pragma naming no known rule at all is flagged whatever ran.  Pass
+    pragma naming no known rule at all is flagged whatever ran, and so
+    is one naming a meta-rule (RL008 findings are added after
+    suppression and a parse error ends the file before it, so such a
+    pragma can never match).  Pass
     ``report_unused=False`` to disable RL008 entirely (RL008 itself
     deselected).
     """
@@ -129,6 +132,7 @@ def apply_suppressions(
     if not report_unused:
         return sorted(kept)
     known = set(all_rule_ids())
+    meta = known - set(RULES)
     for s in suppressions:
         scope = "file-level " if s.file_level else ""
         if s.rule not in known:
@@ -137,7 +141,9 @@ def apply_suppressions(
                 f"rule exists (retired or misspelt); remove or correct it"
             )
         elif s.used or (
-            checked_rules is not None and s.rule not in checked_rules
+            checked_rules is not None
+            and s.rule not in checked_rules
+            and s.rule not in meta
         ):
             continue
         else:

@@ -112,7 +112,7 @@ from repro.vector.xp import host as hnp
 
 #: scheduler name -> skip_blocked (EDF-NF skips a job that does not fit,
 #: EDF-FkF stops at the first one — see repro.sched.base.Scheduler).
-_SKIP_BLOCKED = {"EDF-NF": True, "EDF-FkF": False}
+SKIP_BLOCKED = {"EDF-NF": True, "EDF-FkF": False}
 
 #: environment variable consulted when ``sim_workers`` is not given
 #: explicitly (kwarg > CLI flag, which passes the kwarg > env > 1).
@@ -208,15 +208,15 @@ class SimBatchResult:
 def _resolve_skip_blocked(scheduler: Union[str, Scheduler]) -> bool:
     if isinstance(scheduler, str):
         try:
-            return _SKIP_BLOCKED[scheduler]
+            return SKIP_BLOCKED[scheduler]
         except KeyError:
-            known = ", ".join(sorted(_SKIP_BLOCKED))
+            known = ", ".join(sorted(SKIP_BLOCKED))
             raise ValueError(f"unknown scheduler {scheduler!r}; known: {known}")
     if isinstance(scheduler, Scheduler):
         # Only the plain EDF queue order is replicated here; schedulers
         # with a different priority order must use the scalar simulator.
         name = getattr(scheduler, "name", "")
-        if name not in _SKIP_BLOCKED:
+        if name not in SKIP_BLOCKED:
             raise ValueError(
                 f"simulate_batch replicates EDF-NF/EDF-FkF only, got {name!r}"
             )
@@ -581,8 +581,7 @@ def simulate_batch(
       sharded results are bit-identical to the serial path whatever the
       worker count.  Device backends (``is_device``) force serial with
       a ``RuntimeWarning`` — forked workers must not share a GPU
-      context (the same rule the acceptance engine applies to its
-      scalar-backend pool).
+      context.
     """
     ns = xp.get_backend(array_backend)
     skip_blocked = _resolve_skip_blocked(scheduler)

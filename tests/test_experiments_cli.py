@@ -51,6 +51,11 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "fig3a", "--sim-release", "x"])
 
+    def test_workers_flag_rejected(self):
+        """Simulation parallelism is --sim-workers; there is no taskset pool."""
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["run", "fig3a", "--workers", "2"])
+
 
 class TestCommands:
     def test_list(self, capsys):

@@ -18,7 +18,30 @@ from repro.experiments.report import as_csv, as_markdown, as_text, render, spark
 from repro.experiments.tables import run_tables, render_tables
 from repro.fpga.device import Fpga, StaticRegion
 from repro.gen.profiles import paper_unconstrained, spatially_light_temporally_heavy
-from repro.util.rngutil import rng_from_seed
+from repro.sched.edf_nf import EdfNf
+from repro.sim.simulator import default_horizon, simulate
+from repro.util.rngutil import rng_from_seed, spawn_rngs
+
+
+def _scalar_sim_ratios(profile, fpga, us_grid, samples_per_point, seed,
+                       sim_samples, horizon_factor, **sim_kw):
+    """The engine's ``sim:EDF-NF`` curve from the scalar oracle: redraw
+    each bucket exactly as the engine does, then run :func:`simulate` on
+    the first ``sim_samples`` tasksets one at a time."""
+    rngs = spawn_rngs(seed, len(us_grid))
+    ratios = []
+    for rng, us in zip(rngs, us_grid):
+        batch = feasible_batch_at(profile, us, samples_per_point, rng)
+        tasksets = batch.to_tasksets()[:sim_samples]
+        ok = sum(
+            simulate(
+                ts, fpga, EdfNf(), default_horizon(ts, factor=horizon_factor),
+                **sim_kw,
+            ).schedulable
+            for ts in tasksets
+        )
+        ratios.append(ok / len(tasksets))
+    return tuple(ratios)
 
 
 class TestFeasibleBatchAt:
@@ -163,8 +186,6 @@ class TestAcceptanceExperiment:
         with pytest.raises(ValueError):
             self._run(sampling="magic")
         with pytest.raises(ValueError):
-            self._run(sim_backend="quantum")
-        with pytest.raises(ValueError):
             self._run(bin_tolerance=0.0)
 
     def test_series_lookup(self):
@@ -188,28 +209,26 @@ class TestAcceptanceExperiment:
             series.at(0.5)
 
     def test_vector_and_scalar_backends_agree(self):
-        """The tentpole contract: identical sim curves from both backends."""
-        v = self._run(sim_backend="vector", sim_samples_per_point=30)
-        s = self._run(sim_backend="scalar", sim_samples_per_point=30)
-        assert v["sim:EDF-NF"].ratios == s["sim:EDF-NF"].ratios
-        assert v.sim_budget_exceeded == s.sim_budget_exceeded == 0
+        """The batched sim curve equals the scalar oracle's, taskset for
+        taskset on the same bucket draws."""
+        v = self._run(sim_samples_per_point=30)
+        expected = _scalar_sim_ratios(
+            paper_unconstrained(4), Fpga(width=100), [20.0, 50.0, 80.0],
+            samples_per_point=60, seed=5, sim_samples=30, horizon_factor=5,
+        )
+        assert v["sim:EDF-NF"].ratios == expected
+        assert v.sim_budget_exceeded == 0
 
     def test_vector_backend_simulates_full_batch(self):
-        """No 200-set subsample cap on the vector backend."""
+        """No 200-set subsample cap: None simulates the whole bucket."""
         curves = self._run(samples_per_point=250, sim_samples_per_point=None)
         assert curves.sim_samples_per_point == 250
-        scalar = self._run(
-            samples_per_point=250, sim_samples_per_point=None,
-            sim_backend="scalar", sim_schedulers=(),
-        )
-        assert scalar.sim_samples_per_point == 200
 
     def test_event_budget_survives_sweep(self):
         """A blown max_events budget must not abort the experiment."""
-        for backend in ("vector", "scalar"):
-            curves = self._run(sim_backend=backend, max_events=3)
-            assert curves.sim_budget_exceeded == 30  # 3 buckets x 10 sims
-            assert all(r == 0.0 for r in curves["sim:EDF-NF"].ratios)
+        curves = self._run(max_events=3)
+        assert curves.sim_budget_exceeded == 30  # 3 buckets x 10 sims
+        assert all(r == 0.0 for r in curves["sim:EDF-NF"].ratios)
 
     def test_explicit_bin_tolerance(self):
         curves = acceptance_experiment(
@@ -246,7 +265,7 @@ class TestAcceptanceExperiment:
 
 
 class TestArrayBackendThreading:
-    """sim_array_backend plumbing + the device-backend serial override."""
+    """sim_array_backend plumbing."""
 
     def _run(self, **kw):
         defaults = dict(
@@ -282,32 +301,6 @@ class TestArrayBackendThreading:
         with pytest.raises(xp_mod.BackendUnavailable):
             self._run(sim_array_backend=missing[0])
 
-    def test_device_backend_forces_serial_workers(self, monkeypatch):
-        """Forked workers must not share a GPU context: with a device
-        backend active and workers > 1, the engine warns once and drops
-        to serial chunking (the run still completes)."""
-        from repro.vector import xp as xp_mod
-
-        backend = xp_mod.get_backend("numpy")
-        monkeypatch.setattr(backend, "is_device", True)
-        with pytest.warns(RuntimeWarning, match="serial"):
-            curves = self._run(sim_array_backend="numpy", workers=4)
-        assert curves["sim:EDF-NF"].ratios  # sweep completed
-        # workers=1 with a device backend is fine — no warning.
-        import warnings as _warnings
-
-        with _warnings.catch_warnings():
-            _warnings.simplefilter("error")
-            self._run(sim_array_backend="numpy", workers=1)
-
-    def test_host_backend_keeps_workers_quiet(self):
-        import warnings as _warnings
-
-        with _warnings.catch_warnings():
-            _warnings.simplefilter("error")
-            curves = self._run(workers=2, sim_backend="scalar")
-        assert curves["sim:EDF-NF"].ratios
-
 
 class TestFigures:
     def test_all_figures_registered(self):
@@ -320,6 +313,13 @@ class TestFigures:
 
     def test_fig4b_uses_binning(self):
         assert FIGURES["fig4b"].sampling == "bin"
+
+    def test_run_figure_accepts_only_one_worker(self):
+        """``workers`` survives as a fixed 1; the taskset pool is gone."""
+        with pytest.raises(ValueError, match="sim_workers"):
+            run_figure("fig3a", samples=5, sim_samples=0, seed=1, workers=2)
+        curves = run_figure("fig3a", samples=5, sim_samples=0, seed=1, workers=1)
+        assert curves.labels == ("DP", "GN1", "GN2")
 
 
 class TestTablesRunner:
@@ -464,12 +464,10 @@ class TestCiTargetSizing:
         with pytest.raises(ValueError):
             self._run(ci_target=0.7)
         with pytest.raises(ValueError):
-            self._run(ci_target=0.05, sim_backend="scalar")
-        with pytest.raises(ValueError):
             self._run(ci_target=0.05, sim_samples_per_point=10)
-        # scalar backend is fine when no sim curves are requested
+        # an explicit subsample is fine when no sim curves are requested
         curves = self._run(
-            ci_target=0.1, sim_backend="scalar", sim_schedulers=()
+            ci_target=0.1, sim_samples_per_point=10, sim_schedulers=()
         )
         assert curves.bucket_samples is not None
 
@@ -514,23 +512,6 @@ class TestOffsetAblationSoundness:
         for a, b in zip(periodic, searched):
             assert b <= a
 
-    @pytest.mark.parametrize(
-        "ablation,kw",
-        [
-            ("offset_ablation", {"offset_samples": 3}),
-            ("sporadic_ablation", {"sporadic_samples": 3}),
-        ],
-    )
-    def test_vector_and_scalar_backends_agree(self, ablation, kw):
-        """Shared offset/schedule streams -> identical curves."""
-        from repro.experiments import ablations
-
-        fn = getattr(ablations, ablation)
-        v = fn(us_grid=(50.0, 80.0), samples=8, seed=5, sim_backend="vector", **kw)
-        s = fn(us_grid=(50.0, 80.0), samples=8, seed=5, sim_backend="scalar", **kw)
-        for label in v.labels:
-            assert v[label].ratios == s[label].ratios, label
-
     def test_zero_pattern_samples_degenerate_to_baseline(self):
         from repro.experiments.ablations import offset_ablation, sporadic_ablation
 
@@ -545,11 +526,7 @@ class TestOffsetAblationSoundness:
         from repro.experiments.ablations import offset_ablation, sporadic_ablation
 
         with pytest.raises(ValueError):
-            offset_ablation(samples=5, sim_backend="quantum")
-        with pytest.raises(ValueError):
             offset_ablation(samples=5, offset_samples=-1)
-        with pytest.raises(ValueError):
-            sporadic_ablation(samples=5, sim_backend="quantum")
         with pytest.raises(ValueError):
             sporadic_ablation(samples=5, sporadic_samples=-1)
 
@@ -600,14 +577,6 @@ class TestSimReleaseThreading:
             self._run(sim_release="bursty")
         with pytest.raises(ValueError):
             self._run(sim_jitter=-0.5)
-        with pytest.raises(ValueError):
-            self._run(sim_release="sporadic", sim_backend="scalar")
-        # scalar backend fine when no sim curves requested
-        curves = self._run(
-            sim_release="sporadic", sim_backend="scalar",
-            sim_schedulers=(), tests=("DP",),
-        )
-        assert curves.labels == ("DP",)
 
     def test_run_figure_exposes_release_and_mode(self):
         from repro.fpga.placement import PlacementPolicy
@@ -631,7 +600,7 @@ class TestSimReleaseThreading:
 
 
 class TestSimModeThreading:
-    """mode/policy reach the engine's sim curves on both backends."""
+    """mode/policy reach the engine's sim curves."""
 
     def _run(self, **kw):
         from repro.fpga.placement import PlacementPolicy
@@ -653,15 +622,24 @@ class TestSimModeThreading:
         return acceptance_experiment(**defaults)
 
     def test_vector_and_scalar_agree_in_placement_mode(self):
-        v = self._run(sim_backend="vector")
-        s = self._run(sim_backend="scalar")
-        assert v["sim:EDF-NF"].ratios == s["sim:EDF-NF"].ratios
+        from repro.fpga.placement import PlacementPolicy
+        from repro.sim.simulator import MigrationMode
+
+        v = self._run()
+        expected = _scalar_sim_ratios(
+            paper_unconstrained(4),
+            Fpga(width=30, static_regions=(StaticRegion(12, 3),)),
+            [12.0, 20.0], samples_per_point=12, seed=13, sim_samples=12,
+            horizon_factor=4, mode=MigrationMode.RELOCATABLE,
+            placement_policy=PlacementPolicy.BEST_FIT,
+        )
+        assert v["sim:EDF-NF"].ratios == expected
 
     def test_placement_mode_is_no_more_accepting_than_free(self):
         from repro.sim.simulator import MigrationMode
 
-        placed = self._run(sim_backend="vector")
-        free = self._run(sim_backend="vector", sim_mode=MigrationMode.FREE)
+        placed = self._run()
+        free = self._run(sim_mode=MigrationMode.FREE)
         for p, f in zip(placed["sim:EDF-NF"].ratios, free["sim:EDF-NF"].ratios):
             assert p <= f + 1e-12
 

@@ -309,6 +309,44 @@ def test_pragmas_naming_unknown_rules_are_findings():
     assert lint_source(src, "repro.vector.kern", ignore=["RL008"]).clean
 
 
+def test_pragmas_naming_meta_rules_are_findings():
+    # RL008 findings are added after suppression and a parse error ends
+    # the file before it, so a pragma for either meta-rule can never
+    # match: it is an unused pragma whenever RL008 runs.
+    src = (
+        "x = 1  # repro-lint: disable=RL008 -- meta\n"
+        "y = 2  # repro-lint: disable=RL009 -- meta\n"
+    )
+    for select in (None, ["RL001", "RL008"]):
+        result = lint_source(src, "repro.vector.kern", select=select)
+        assert [(f.rule, f.line) for f in result.findings] == [
+            ("RL008", 1), ("RL008", 2),
+        ]
+        assert "unused suppression of RL008" in result.findings[0].message
+        assert "unused suppression of RL009" in result.findings[1].message
+    assert lint_source(src, "repro.vector.kern", ignore=["RL008"]).clean
+
+
+def test_draw_on_any_receiver_is_rl010():
+    # The method name decides, not the receiver's shape: a subscript or
+    # a call result is as much a generator as a plain name.
+    src = (
+        "def f(rngs, make):\n"
+        "    a = rngs[0].uniform()\n"
+        "    b = make().uniform()\n"
+        "    return a, b\n"
+        "\n"
+        "\n"
+        "def g(rngs):\n"
+        "    return f(rngs, None)\n"
+    )
+    result = lint_source(src, "repro.vector.sim_vec")
+    assert rule_lines(result, "RL010") == [2, 3, 8]
+    assert "via repro.vector.sim_vec.f" in result.findings[-1].message
+    project = build_project([("repro.vector.sim_vec", ast.parse(src), False)])
+    assert "RNG" in project.effects_of("repro.vector.sim_vec.f")
+
+
 def test_pragma_in_string_is_inert():
     result = lint_fixture("pragma_in_docstring.py", "repro.vector.kern")
     assert result.clean, text_report(result)

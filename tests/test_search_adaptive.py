@@ -20,6 +20,8 @@ Four pillars:
   strictly more in at least one.
 """
 
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -48,7 +50,11 @@ from repro.search.drivers import (
 )
 from repro.sim.offsets import adaptive_offset_search, simulate_with_offsets
 from repro.sim.simulator import default_horizon, simulate
-from repro.sim.sporadic import adaptive_sporadic_search, simulate_sporadic
+from repro.sim.sporadic import (
+    adaptive_sporadic_search,
+    sample_release_schedule,
+    simulate_sporadic,
+)
 from repro.util.rngutil import rng_from_seed, spawn_rngs
 from repro.vector.batch import TaskSetBatch
 from repro.vector.sim_vec import default_horizon_batch, simulate_batch
@@ -275,16 +281,22 @@ class TestSlackChannelBackends:
             assert bool(res.schedulable[i]) == ref.schedulable
             assert float(res.min_slack[i]) == float(ref.min_slack)
 
-    def test_uniform_search_slack_parity(self):
-        """Satellite cross-check: scalar and vector *searches* report the
-        identical best-effort min-slack on a shared-seed fixture."""
+    @pytest.mark.parametrize("us", [50.0, 80.0])
+    def test_uniform_search_slack_parity(self, us):
+        """Satellite cross-check: scalar and vector *searches* agree on
+        every verdict and report the identical best-effort min-slack on
+        a shared-seed fixture.  At US=50 every pattern survives; at US=80
+        some miss."""
         batch = feasible_batch_at(
-            paper_unconstrained(4), 50.0, 6, rng_from_seed(23)
+            paper_unconstrained(4), us, 6, rng_from_seed(23)
         )
         out = uniform_offset_search_batch(
             batch, FPGA, "EDF-NF", patterns=5,
             rng=rng_from_seed(24), horizon_factor=5,
         )
+        assert out.found.any() == (us == 80.0)
+        # simulate_with_offsets draws all of its assignments before its
+        # first run, so the shared stream stays aligned past a miss.
         scalar_rng = rng_from_seed(24)
         for i in range(batch.count):
             ts = batch.taskset(i)
@@ -292,28 +304,37 @@ class TestSlackChannelBackends:
                 ts, FPGA, EdfNf(), default_horizon(ts, factor=5),
                 scalar_rng, samples=5, include_synchronous=False,
             )
-            # At US=50 every pattern survives: no early exit on either
-            # side, so the searches saw the same five patterns.
-            assert ref.schedulable and not out.found[i]
-            assert float(ref.min_slack) == float(out.min_slack[i])
+            assert out.found[i] == (not ref.schedulable)
+            if ref.schedulable:
+                # No early exit on either side: the same five patterns.
+                assert float(ref.min_slack) == float(out.min_slack[i])
 
-    def test_uniform_sporadic_search_slack_parity(self):
+    @pytest.mark.parametrize("us", [50.0, 80.0])
+    def test_uniform_sporadic_search_slack_parity(self, us):
         batch = feasible_batch_at(
-            paper_unconstrained(4), 50.0, 6, rng_from_seed(25)
+            paper_unconstrained(4), us, 6, rng_from_seed(25)
         )
         out = uniform_sporadic_search_batch(
             batch, FPGA, "EDF-NF", patterns=4,
             rng=rng_from_seed(26), horizon_factor=5,
         )
+        assert out.found.any() == (us == 80.0)
         scalar_rng = rng_from_seed(26)
         for i in range(batch.count):
             ts = batch.taskset(i)
+            horizon = default_horizon(ts, factor=5)
+            # simulate_sporadic stops drawing at its first miss: search
+            # on a copy, then step the shared stream past all four
+            # patterns, as the batched sampler does.
             ref = simulate_sporadic(
-                ts, FPGA, EdfNf(), default_horizon(ts, factor=5),
-                scalar_rng, samples=4, include_periodic=False,
+                ts, FPGA, EdfNf(), horizon,
+                copy.deepcopy(scalar_rng), samples=4, include_periodic=False,
             )
-            assert ref.schedulable and not out.found[i]
-            assert float(ref.min_slack) == float(out.min_slack[i])
+            for _ in range(4):
+                sample_release_schedule(ts, horizon, scalar_rng, 0.5)
+            assert out.found[i] == (not ref.schedulable)
+            if ref.schedulable:
+                assert float(ref.min_slack) == float(out.min_slack[i])
 
 
 @pytest.mark.usefixtures("array_backend")
